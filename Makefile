@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-fast bench-json par-smoke obs-smoke sym-smoke fault-smoke fuzz-smoke ooc-smoke journal-smoke engine-smoke resume-smoke serve-smoke examples artifacts clean
+.PHONY: all build test bench bench-fast bench-json par-smoke obs-smoke sym-smoke fault-smoke fuzz-smoke ooc-smoke journal-smoke engine-smoke resume-smoke serve-smoke perfbench-smoke examples artifacts clean
 
 all: build
 
@@ -163,6 +163,13 @@ serve-smoke:
 	./_build/default/bin/ccr.exe client submit invalidate -n 2 --wait \
 	  --port $$(cat /tmp/ccr-serve-smoke/port) | grep -q '"cached":true'; \
 	status=$$?; kill -TERM $$pid; wait $$pid; exit $$status
+
+# Repo benchmark: a short closed loop of the check-sym workload.  Fails
+# unless the result line says "correct": true — every run's answer and
+# the ccr CLI's stats line match perfbench/expected.ml.
+perfbench-smoke:
+	python3 perfbench/run.py --workload check-sym --seed 1 --seconds 5 \
+	  --trace 0 | grep -q '"correct": true'
 
 examples:
 	dune exec examples/quickstart.exe

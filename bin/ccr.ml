@@ -148,7 +148,7 @@ let faults_arg =
           "Inject network faults from a budget spec: comma-separated \
            $(b,drop=K), $(b,dup=K), $(b,delay=K), $(b,pause=K), each \
            channel fault optionally filtered by message class as in \
-           $(b,drop=1\\@ack) ($(b,\\@req), $(b,\\@ack), $(b,\\@nack)).  \
+           $(b,drop=1@ack) ($(b,@req), $(b,@ack), $(b,@nack)).  \
            $(b,check) explores every placement within the budget; \
            $(b,sim) and $(b,run) draw one deterministic plan from \
            $(b,--seed).")
@@ -792,9 +792,9 @@ let check_cmd =
     let ckpt_dir =
       match resume_dir with Some _ -> resume_dir | None -> checkpoint_dir
     in
-    (* Checkpoints persist traces as provenance slots (the in-memory
-       parent arrays of a plain --trace run cannot survive a restart),
-       so checkpointing forces provenance on. *)
+    (* Checkpoints persist traces as provenance slots (the internal
+       table of a run without --prov cannot survive a restart), so
+       checkpointing forces provenance on. *)
     let prov_sel =
       if ckpt_dir <> None && prov_sel = None then Some Vstore.Prov.P_mem
       else prov_sel

@@ -60,7 +60,10 @@ let set_members s =
   loop 0 []
 
 let set_of_list rs = Vset (List.fold_left (fun m r -> m lor (1 lsl r)) 0 rs)
-let set_cardinal s = List.length (set_members s)
+(* popcount: no intermediate member list *)
+let set_cardinal s =
+  let rec count m acc = if m = 0 then acc else count (m land (m - 1)) (acc + 1) in
+  count (as_mask s) 0
 
 let pp ppf = function
   | Vunit -> Fmt.string ppf "()"
@@ -78,16 +81,20 @@ let pp_domain ppf = function
   | Drid -> Fmt.string ppf "rid"
   | Dset -> Fmt.string ppf "rid set"
 
+(* The encoders run once per discovered state on the model checker's hot
+   path, so they are closure-free: each allocates nothing beyond what the
+   buffer itself grows by. *)
+let add_byte buf i = Buffer.add_char buf (Char.unsafe_chr (i land 0xff))
+
 let encode_int buf i =
-  let byte i = Buffer.add_char buf (Char.chr (i land 0xff)) in
   (* small non-negative ints in one byte; larger in five *)
-  if i >= 0 && i < 0xf8 then byte i
+  if i >= 0 && i < 0xf8 then add_byte buf i
   else begin
-    byte 0xf8;
-    byte (i land 0xff);
-    byte ((i lsr 8) land 0xff);
-    byte ((i lsr 16) land 0xff);
-    byte ((i asr 24) land 0xff)
+    add_byte buf 0xf8;
+    add_byte buf i;
+    add_byte buf (i lsr 8);
+    add_byte buf (i lsr 16);
+    add_byte buf (i asr 24)
   end
 
 (* Single source of the rid/set byte layout, shared with {!encode_perm}:
@@ -101,15 +108,13 @@ let encode_set buf m =
   encode_int buf m
 
 let encode buf v =
-  let byte i = Buffer.add_char buf (Char.chr (i land 0xff)) in
-  let int i = encode_int buf i in
   match v with
-  | Vunit -> byte 0
-  | Vbool false -> byte 1
-  | Vbool true -> byte 2
+  | Vunit -> add_byte buf 0
+  | Vbool false -> add_byte buf 1
+  | Vbool true -> add_byte buf 2
   | Vint i ->
-    byte 3;
-    int (if i >= 0 then 2 * i else (-2 * i) + 1)
+    add_byte buf 3;
+    encode_int buf (if i >= 0 then 2 * i else (-2 * i) + 1)
   | Vrid r -> encode_rid buf r
   | Vset m -> encode_set buf m
 

@@ -86,10 +86,10 @@ let bitstate_positions = Vstore.bitstate_positions
 (* Reconstruct the path to state [id] from a provenance table: walk the
    parent chain (O(depth) packed-slot reads), then replay the recorded
    successor ordinals from the initial state.  Exact — each ordinal pins
-   one concrete transition, so the labels and intermediate states equal
-   what the in-memory trace arrays would have held, including under
-   symmetry reduction (the replayed states are the concrete
-   representatives the engine expanded). *)
+   one concrete transition, so the labels and intermediate states are the
+   ones the engine traversed, including under symmetry reduction (the
+   replayed states are the concrete representatives the engine
+   expanded). *)
 let replay_path prov sys id =
   let rec go st ords acc =
     match ords with
@@ -117,9 +117,23 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
   let store = make_store visited store in
-  (* With a provenance table the trace arrays are redundant: the packed
-     side-table replaces the in-memory parent/state arrays outright. *)
-  let keep_arrays = trace && prov = None in
+  (* Checkpoint control is BFS-only: level boundaries are not meaningful
+     under DFS. *)
+  let ck = match ckpt with Some c when strategy = Bfs -> Some c | _ -> None in
+  (* Traces come from a provenance table: the caller's, or an internal
+     resident one (8 bytes per state) — visited states are never kept.
+     A resumed run's ids continue from the checkpoint, so only a table
+     restored alongside it can take them. *)
+  let prov =
+    match (prov, ck) with
+    | Some _, _ -> prov
+    | None, _ when not trace -> None
+    | None, Some { ck_resume = Some _; _ } ->
+      invalid_arg
+        "Explore.run: ~trace:true on a resumed checkpoint needs the \
+         checkpoint's provenance table; pass it as ~prov"
+    | None, _ -> Some (Vstore.Prov.create ())
+  in
   let prov_record ~id ~parent ~ord =
     match prov with
     | Some p -> Vstore.Prov.record p ~id ~parent ~ord
@@ -132,38 +146,7 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     | Some f, Bfs -> fun ~depth ~states -> f ~depth ~states
     | _ -> fun ~depth:_ ~states:_ -> ()
   in
-  (* with [keep_arrays]: states.(id) and parents.(id) = (parent, label) *)
-  let parents = ref [||] in
-  let states = ref [||] in
   let n_states = ref 0 in
-  let record st parent label =
-    if keep_arrays then begin
-      if !n_states >= Array.length !states then begin
-        let cap = max 1024 (2 * Array.length !states) in
-        let states' = Array.make cap st
-        and parents' = Array.make cap (0, None) in
-        Array.blit !states 0 states' 0 !n_states;
-        Array.blit !parents 0 parents' 0 !n_states;
-        states := states';
-        parents := parents'
-      end;
-      !states.(!n_states) <- st;
-      !parents.(!n_states) <- (parent, label)
-    end
-  in
-  let rebuild_trace id =
-    if not trace then None
-    else
-      match prov with
-      | Some p -> Some (replay_path p sys id)
-      | None ->
-        let rec up id acc =
-          let parent, label = !parents.(id) in
-          let entry = (label, !states.(id)) in
-          if parent = id then entry :: acc else up parent (entry :: acc)
-        in
-        Some (up id [])
-  in
   let push_frontier, pop_frontier, frontier_empty, frontier_entries =
     match strategy with
     | Bfs ->
@@ -216,12 +199,11 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
             }
         end
   in
-  let discover st parent label ~ord ~depth =
+  let discover st parent ~ord ~depth =
     let key = key_of st in
     if store.Vstore.add key then begin
       on_fresh st;
       let id = !n_states in
-      record st parent label;
       prov_record ~id ~parent ~ord;
       if depth > !max_depth then begin
         (* first state of a deeper level: the previous level is complete *)
@@ -244,9 +226,6 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       emit_progress depth
     end
   in
-  (* Checkpoint control is BFS-only: level boundaries are not meaningful
-     under DFS. *)
-  let ck = match ckpt with Some c when strategy = Bfs -> Some c | _ -> None in
   let ck_save ~final ~head () =
     match ck with
     | None -> ()
@@ -288,7 +267,7 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
         incr frontier_len)
       r.r_frontier;
     peak_frontier := !frontier_len
-  | _ -> discover sys.init 0 None ~ord:(-1) ~depth:0);
+  | _ -> discover sys.init 0 ~ord:(-1) ~depth:0);
   let last_depth = ref 0 in
   let inflight = ref None in
   while (not (frontier_empty ())) && !finished = None do
@@ -323,10 +302,10 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       let succs = sys.succ st in
       if check_deadlock && succs = [] then finish ~id (Deadlock st);
       List.iteri
-        (fun ord (label, st') ->
+        (fun ord (_, st') ->
           if ord >= start_ord && !finished = None then begin
             incr n_transitions;
-            discover st' id (Some label) ~ord ~depth:(depth + 1);
+            discover st' id ~ord ~depth:(depth + 1);
             if ck <> None && !finished <> None then
               inflight := Some (st, id, depth, ord + 1)
           end)
@@ -342,9 +321,10 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     ck_save ~final:true ~head:!inflight ()
   | Complete | Violation _ | Deadlock _ -> ());
   let trace_path =
-    match outcome with
-    | Violation _ | Deadlock _ -> rebuild_trace !bad_id
-    | Complete | Limit _ -> None
+    match (outcome, prov) with
+    | (Violation _ | Deadlock _), Some p when trace ->
+      Some (replay_path p sys !bad_id)
+    | _ -> None
   in
   {
     outcome;

@@ -179,11 +179,12 @@ val run :
     over [store].  Invariants are checked on every state as it is discovered
     (including the initial one); the first violation stops the search.
     [check_deadlock] (default [false]) reports a state with no
-    successors.  [trace] (default [false]) keeps parent pointers so the
-    offending state's path can be reconstructed — at the cost of
-    retaining all visited states in memory, unless [prov] is also given,
-    in which case the side-table replaces the in-memory arrays and the
-    counterexample is rebuilt by {!replay_path}.  [on_progress] (default:
+    successors.  [trace] (default [false]) records each state's
+    provenance — into [prov] if given, else into an internal resident
+    {!Vstore.Prov} table of 8 bytes per state — and rebuilds the
+    offending state's path with {!replay_path}; visited states are not
+    retained.  Resuming a checkpoint with [~trace:true] requires the
+    checkpoint's restored [prov] (raises [Invalid_argument] otherwise).  [on_progress] (default:
     none, zero overhead beyond one closure call per discovery) is invoked
     every [progress_every] (default 8192) discoveries with a live
     {!Ccr_obs.Progress.sample}.  [on_level] (BFS only) fires once per

@@ -688,127 +688,170 @@ let messages_in_flight st =
    several domains at once. *)
 let scratch = Domain.DLS.new_key (fun () -> Buffer.create 128)
 
+(* The key layout, field by field: home (control state, rotation, env,
+   mode, admission buffer), then each remote (control state, env, mode,
+   reply buffer), then every [to_h] and every [to_r] channel.  The
+   walkers are top-level and closure-free so that a key costs one
+   allocation — its result string.  The [_perm] twins write the same
+   layout for the state renamed through [p] (see [encode_perm]). *)
+
+let enc_int = Value.encode_int
+
+let encode_env buf e =
+  for i = 0 to Array.length e - 1 do
+    Value.encode buf (Array.unsafe_get e i)
+  done
+
+let encode_env_perm buf p e =
+  for i = 0 to Array.length e - 1 do
+    Value.encode_perm buf p (Array.unsafe_get e i)
+  done
+
+let encode_repl buf repl =
+  enc_int buf (String.length repl);
+  Buffer.add_string buf repl
+
+let encode_await buf = function
+  | `Ack -> enc_int buf 1
+  | `Repl repl ->
+    enc_int buf 2;
+    encode_repl buf repl
+
+let rec encode_hbuf buf = function
+  | [] -> ()
+  | (i, m) :: rest ->
+    enc_int buf i;
+    Wire.encode_req buf m;
+    encode_hbuf buf rest
+
+let rec encode_hbuf_perm buf p = function
+  | [] -> ()
+  | (i, m) :: rest ->
+    enc_int buf p.(i);
+    Wire.encode_req_perm buf p m;
+    encode_hbuf_perm buf p rest
+
+let rec encode_wires buf = function
+  | [] -> ()
+  | w :: ws ->
+    Wire.encode buf w;
+    encode_wires buf ws
+
+let rec encode_wires_perm buf p = function
+  | [] -> ()
+  | w :: ws ->
+    Wire.encode_perm buf p w;
+    encode_wires_perm buf p ws
+
+let encode_home buf h =
+  enc_int buf h.h_ctl;
+  enc_int buf h.h_rot;
+  encode_env buf h.h_env;
+  (match h.h_mode with
+  | Hcomm -> enc_int buf 0
+  | Htrans { guard; peer; scratch; await } ->
+    encode_await buf await;
+    enc_int buf guard;
+    enc_int buf peer;
+    encode_env buf scratch);
+  enc_int buf (List.length h.h_buf);
+  encode_hbuf buf h.h_buf
+
+let encode_home_perm buf p h =
+  enc_int buf h.h_ctl;
+  enc_int buf h.h_rot;
+  encode_env_perm buf p h.h_env;
+  (match h.h_mode with
+  | Hcomm -> enc_int buf 0
+  | Htrans { guard; peer; scratch; await } ->
+    encode_await buf await;
+    enc_int buf guard;
+    enc_int buf p.(peer);
+    encode_env_perm buf p scratch);
+  enc_int buf (List.length h.h_buf);
+  encode_hbuf_perm buf p h.h_buf
+
+let encode_remote buf r =
+  enc_int buf r.r_ctl;
+  encode_env buf r.r_env;
+  (match r.r_mode with
+  | Rcomm -> enc_int buf 0
+  | Rtrans { guard; scratch } ->
+    enc_int buf 1;
+    enc_int buf guard;
+    encode_env buf scratch
+  | Rwait { guard; scratch; repl } ->
+    enc_int buf 2;
+    enc_int buf guard;
+    encode_repl buf repl;
+    encode_env buf scratch);
+  match r.r_buf with
+  | None -> enc_int buf 0
+  | Some m ->
+    enc_int buf 1;
+    Wire.encode_req buf m
+
+let encode_remote_perm buf p r =
+  enc_int buf r.r_ctl;
+  encode_env_perm buf p r.r_env;
+  (match r.r_mode with
+  | Rcomm -> enc_int buf 0
+  | Rtrans { guard; scratch } ->
+    enc_int buf 1;
+    enc_int buf guard;
+    encode_env_perm buf p scratch
+  | Rwait { guard; scratch; repl } ->
+    enc_int buf 2;
+    enc_int buf guard;
+    encode_repl buf repl;
+    encode_env_perm buf p scratch);
+  match r.r_buf with
+  | None -> enc_int buf 0
+  | Some m ->
+    enc_int buf 1;
+    Wire.encode_req_perm buf p m
+
+let encode_channel buf q =
+  enc_int buf (List.length q);
+  encode_wires buf q
+
+let encode_channel_perm buf p q =
+  enc_int buf (List.length q);
+  encode_wires_perm buf p q
+
 let encode (st : state) =
   let buf = Domain.DLS.get scratch in
   Buffer.clear buf;
-  let int = Value.encode_int buf in
-  let env e = Array.iter (Value.encode buf) e in
-  let wire_msg (m : Wire.msg) = Wire.encode buf (Wire.Req m) in
-  int st.h.h_ctl;
-  int st.h.h_rot;
-  env st.h.h_env;
-  (match st.h.h_mode with
-  | Hcomm -> int 0
-  | Htrans { guard; peer; scratch; await } ->
-    (match await with
-    | `Ack -> int 1
-    | `Repl repl ->
-      int 2;
-      int (String.length repl);
-      Buffer.add_string buf repl);
-    int guard;
-    int peer;
-    env scratch);
-  int (List.length st.h.h_buf);
-  List.iter
-    (fun (i, m) ->
-      int i;
-      wire_msg m)
-    st.h.h_buf;
-  Array.iter
-    (fun r ->
-      int r.r_ctl;
-      env r.r_env;
-      (match r.r_mode with
-      | Rcomm -> int 0
-      | Rtrans { guard; scratch } ->
-        int 1;
-        int guard;
-        env scratch
-      | Rwait { guard; scratch; repl } ->
-        int 2;
-        int guard;
-        int (String.length repl);
-        Buffer.add_string buf repl;
-        env scratch);
-      match r.r_buf with
-      | None -> int 0
-      | Some m ->
-        int 1;
-        wire_msg m)
-    st.r;
-  let channel q =
-    int (List.length q);
-    List.iter (Wire.encode buf) q
-  in
-  Array.iter channel st.to_h;
-  Array.iter channel st.to_r;
+  let n = Array.length st.r in
+  encode_home buf st.h;
+  for i = 0 to n - 1 do
+    encode_remote buf st.r.(i)
+  done;
+  for i = 0 to n - 1 do
+    encode_channel buf st.to_h.(i)
+  done;
+  for i = 0 to n - 1 do
+    encode_channel buf st.to_r.(i)
+  done;
   Buffer.contents buf
 
 (* Byte-identical to [encode (Symmetry.permute_async p st)]: remote slot
    [j] of the permuted state is [st]'s slot [inv.(j)] (likewise for both
    channel arrays), buffered messages keep their queue order but their
-   sender id and rid-valued payloads are renamed through [p].  Must mirror
-   the [encode] layout above field for field. *)
+   sender id and rid-valued payloads are renamed through [p]. *)
 let encode_perm ~p ~inv (st : state) =
   let buf = Domain.DLS.get scratch in
   Buffer.clear buf;
-  let int = Value.encode_int buf in
-  let env e = Array.iter (Value.encode_perm buf p) e in
-  let wire_msg (m : Wire.msg) = Wire.encode_perm buf p (Wire.Req m) in
   let n = Array.length st.r in
-  int st.h.h_ctl;
-  int st.h.h_rot;
-  env st.h.h_env;
-  (match st.h.h_mode with
-  | Hcomm -> int 0
-  | Htrans { guard; peer; scratch = sc; await } ->
-    (match await with
-    | `Ack -> int 1
-    | `Repl repl ->
-      int 2;
-      int (String.length repl);
-      Buffer.add_string buf repl);
-    int guard;
-    int p.(peer);
-    env sc);
-  int (List.length st.h.h_buf);
-  List.iter
-    (fun (i, m) ->
-      int p.(i);
-      wire_msg m)
-    st.h.h_buf;
+  encode_home_perm buf p st.h;
   for j = 0 to n - 1 do
-    let r = st.r.(inv.(j)) in
-    int r.r_ctl;
-    env r.r_env;
-    (match r.r_mode with
-    | Rcomm -> int 0
-    | Rtrans { guard; scratch = sc } ->
-      int 1;
-      int guard;
-      env sc
-    | Rwait { guard; scratch = sc; repl } ->
-      int 2;
-      int guard;
-      int (String.length repl);
-      Buffer.add_string buf repl;
-      env sc);
-    match r.r_buf with
-    | None -> int 0
-    | Some m ->
-      int 1;
-      wire_msg m
-  done;
-  let channel q =
-    int (List.length q);
-    List.iter (Wire.encode_perm buf p) q
-  in
-  for j = 0 to n - 1 do
-    channel st.to_h.(inv.(j))
+    encode_remote_perm buf p st.r.(inv.(j))
   done;
   for j = 0 to n - 1 do
-    channel st.to_r.(inv.(j))
+    encode_channel_perm buf p st.to_h.(inv.(j))
+  done;
+  for j = 0 to n - 1 do
+    encode_channel_perm buf p st.to_r.(inv.(j))
   done;
   Buffer.contents buf
 

@@ -191,14 +191,22 @@ let canonical_async ?stats ?max_fact (prog : Prog.t) st =
    never correctness. *)
 
 (* Per-domain scratch: signature strings, sort order, candidate
-   permutation and its inverse, plus the orbit size of the last
-   canonicalized state (0 = unknown, e.g. after a fallback). *)
+   permutation and its inverse, tie groups, the running minimum of the
+   tie enumeration, plus the orbit size of the last canonicalized state
+   (0 = unknown, e.g. after a fallback).  Keeping the enumeration's state
+   here rather than in closures makes a call allocate only its strings. *)
 type scratch = {
   mutable cap : int;
   mutable sigs : string array;
   mutable order : int array;
   mutable perm : int array;
   mutable inv : int array;
+  mutable group_lo : int array;
+  mutable group_hi : int array;
+  mutable n_groups : int;
+  mutable best : string;
+  mutable stab : int;
+  mutable tried : int;
   sbuf : Buffer.t;
   mutable last_orbit : int;
 }
@@ -211,6 +219,12 @@ let scratch_key =
         order = [||];
         perm = [||];
         inv = [||];
+        group_lo = [||];
+        group_hi = [||];
+        n_groups = 0;
+        best = "";
+        stab = 0;
+        tried = 0;
         sbuf = Buffer.create 256;
         last_orbit = 0;
       })
@@ -221,7 +235,9 @@ let ensure sc n =
     sc.sigs <- Array.make n "";
     sc.order <- Array.make n 0;
     sc.perm <- Array.make n 0;
-    sc.inv <- Array.make n 0
+    sc.inv <- Array.make n 0;
+    sc.group_lo <- Array.make n 0;
+    sc.group_hi <- Array.make n 0
   end
 
 let last_orbit () = (Domain.DLS.get scratch_key).last_orbit
@@ -232,7 +248,9 @@ let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
 let factorial n = if n > 20 then 0 else fact n
 
 (* Slot-relative value abstraction: every feature written here is
-   preserved when ids are renamed and the slot moves along. *)
+   preserved when ids are renamed and the slot moves along.  The walkers
+   below are top-level and closure-free: they run [n] times per
+   canonicalization. *)
 let sig_value buf ~self (v : Value.t) =
   match v with
   | Value.Vrid r ->
@@ -246,11 +264,22 @@ let sig_value buf ~self (v : Value.t) =
     Buffer.add_char buf 'V';
     Value.encode buf v
 
+let sig_env buf ~self e =
+  for i = 0 to Array.length e - 1 do
+    sig_value buf ~self (Array.unsafe_get e i)
+  done
+
+let rec sig_values buf ~self = function
+  | [] -> ()
+  | v :: vs ->
+    sig_value buf ~self v;
+    sig_values buf ~self vs
+
 let sig_msg buf ~self (m : Wire.msg) =
   Value.encode_int buf (String.length m.m_name);
   Buffer.add_string buf m.m_name;
   Value.encode_int buf (List.length m.m_payload);
-  List.iter (sig_value buf ~self) m.m_payload
+  sig_values buf ~self m.m_payload
 
 let sig_wire buf ~self = function
   | Wire.Ack -> Buffer.add_char buf 'a'
@@ -259,42 +288,56 @@ let sig_wire buf ~self = function
     Buffer.add_char buf 'q';
     sig_msg buf ~self m
 
+let rec sig_wires buf ~self = function
+  | [] -> ()
+  | w :: ws ->
+    sig_wire buf ~self w;
+    sig_wires buf ~self ws
+
+(* Buffered home requests: whether each came from this slot. *)
+let rec sig_hbuf buf ~self = function
+  | [] -> ()
+  | (j, m) :: rest ->
+    Buffer.add_char buf (if j = self then '1' else '0');
+    sig_msg buf ~self m;
+    sig_hbuf buf ~self rest
+
 let rv_sig buf (st : Rendezvous.state) i =
   let r = st.r.(i) in
   Value.encode_int buf r.ctl;
-  Array.iter (sig_value buf ~self:i) r.env;
+  sig_env buf ~self:i r.env;
   Buffer.add_char buf '|';
-  Array.iter (sig_value buf ~self:i) st.h.env
+  sig_env buf ~self:i st.h.env
 
 let async_sig buf (st : Async.state) i =
   let r = st.r.(i) in
   Value.encode_int buf r.Async.r_ctl;
-  Array.iter (sig_value buf ~self:i) r.Async.r_env;
+  sig_env buf ~self:i r.Async.r_env;
   (match r.Async.r_mode with
   | Async.Rcomm -> Buffer.add_char buf 'c'
   | Async.Rtrans { guard; scratch } ->
     Buffer.add_char buf 't';
     Value.encode_int buf guard;
-    Array.iter (sig_value buf ~self:i) scratch
+    sig_env buf ~self:i scratch
   | Async.Rwait { guard; scratch; repl } ->
     Buffer.add_char buf 'w';
     Value.encode_int buf guard;
     Value.encode_int buf (String.length repl);
     Buffer.add_string buf repl;
-    Array.iter (sig_value buf ~self:i) scratch);
+    sig_env buf ~self:i scratch);
   (match r.Async.r_buf with
   | None -> Buffer.add_char buf '0'
   | Some m ->
     Buffer.add_char buf '1';
     sig_msg buf ~self:i m);
   Buffer.add_char buf '|';
-  List.iter (sig_wire buf ~self:i) st.Async.to_h.(i);
+  sig_wires buf ~self:i st.Async.to_h.(i);
   Buffer.add_char buf '|';
-  List.iter (sig_wire buf ~self:i) st.Async.to_r.(i);
+  sig_wires buf ~self:i st.Async.to_r.(i);
   Buffer.add_char buf '|';
   (* Home-side features as seen from slot [i]: whether home data, the
      transient peer, or buffered requests refer to this slot. *)
-  Array.iter (sig_value buf ~self:i) st.Async.h.h_env;
+  sig_env buf ~self:i st.Async.h.h_env;
   (match st.Async.h.h_mode with
   | Async.Hcomm -> Buffer.add_char buf 'C'
   | Async.Htrans { guard; peer; scratch; await } ->
@@ -307,14 +350,53 @@ let async_sig buf (st : Async.state) i =
       Buffer.add_char buf 'P';
       Value.encode_int buf (String.length repl);
       Buffer.add_string buf repl);
-    Array.iter (sig_value buf ~self:i) scratch);
-  List.iter
-    (fun (j, m) ->
-      Buffer.add_char buf (if j = i then '1' else '0');
-      sig_msg buf ~self:i m)
-    st.Async.h.h_buf
+    sig_env buf ~self:i scratch);
+  sig_hbuf buf ~self:i st.Async.h.h_buf
 
 let default_max_perms = 5040 (* 7!: brute-force cost we never exceed *)
+
+(* Encode [st] with the slots in [sc.order]'s sequence. *)
+let encode_order sc ~encode_perm n st =
+  sc.tried <- sc.tried + 1;
+  for j = 0 to n - 1 do
+    sc.inv.(j) <- sc.order.(j);
+    sc.perm.(sc.order.(j)) <- j
+  done;
+  encode_perm ~p:sc.perm ~inv:sc.inv st
+
+(* Enumerate every arrangement within the tie groups [gi..], keeping the
+   least encoding in [sc.best] and how many arrangements reach it in
+   [sc.stab]. *)
+let rec enum_groups sc ~encode_perm n st gi =
+  if gi = sc.n_groups then begin
+    let e = encode_order sc ~encode_perm n st in
+    if sc.stab = 0 then begin
+      sc.best <- e;
+      sc.stab <- 1
+    end
+    else
+      let c = String.compare e sc.best in
+      if c < 0 then begin
+        sc.best <- e;
+        sc.stab <- 1
+      end
+      else if c = 0 then sc.stab <- sc.stab + 1
+  end
+  else arrange sc ~encode_perm n st gi sc.group_lo.(gi)
+
+and arrange sc ~encode_perm n st gi k =
+  let hi = sc.group_hi.(gi) in
+  if k >= hi then enum_groups sc ~encode_perm n st (gi + 1)
+  else
+    for j = k to hi do
+      let t = sc.order.(k) in
+      sc.order.(k) <- sc.order.(j);
+      sc.order.(j) <- t;
+      arrange sc ~encode_perm n st gi (k + 1);
+      let t = sc.order.(k) in
+      sc.order.(k) <- sc.order.(j);
+      sc.order.(j) <- t
+    done
 
 let canonicalize ~sig_slot ~encode_perm ?stats ?(max_perms = default_max_perms)
     ~n st =
@@ -342,9 +424,8 @@ let canonicalize ~sig_slot ~encode_perm ?stats ?(max_perms = default_max_perms)
   done;
   (* Tie groups: runs of equal signatures in sorted order.  The number of
      candidate permutations is the product of the group factorials. *)
-  let groups = ref [] in
+  sc.n_groups <- 0;
   let candidates = ref 1 in
-  let tied = ref false in
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in
@@ -355,9 +436,10 @@ let canonicalize ~sig_slot ~encode_perm ?stats ?(max_perms = default_max_perms)
     done;
     let len = !j - !i in
     if len > 1 then begin
-      tied := true;
-      groups := (!i, !j - 1) :: !groups;
-      Option.iter (fun s -> record_tie s len) stats;
+      sc.group_lo.(sc.n_groups) <- !i;
+      sc.group_hi.(sc.n_groups) <- !j - 1;
+      sc.n_groups <- sc.n_groups + 1;
+      (match stats with Some s -> record_tie s len | None -> ());
       let f = factorial len in
       candidates :=
         (if f = 0 || !candidates > max_perms / f then max_perms + 1
@@ -365,83 +447,40 @@ let canonicalize ~sig_slot ~encode_perm ?stats ?(max_perms = default_max_perms)
     end;
     i := !j
   done;
-  let use_order () =
-    for j = 0 to n - 1 do
-      sc.inv.(j) <- sc.order.(j);
-      sc.perm.(sc.order.(j)) <- j
-    done;
-    encode_perm ~p:sc.perm ~inv:sc.inv st
-  in
-  let tried = ref 0 in
+  let tied = sc.n_groups > 0 in
+  sc.tried <- 0;
   let key =
-    if not !tied then begin
+    if not tied then begin
       (* All signatures distinct: the sorted order IS the canonical order,
          and distinct signatures rule out any non-trivial stabilizer. *)
-      incr tried;
       sc.last_orbit <- factorial n;
-      use_order ()
+      encode_order sc ~encode_perm n st
     end
     else if !candidates > max_perms then begin
       (* Too many tied arrangements: keep the signature-sorted order as a
          deterministic (injective, hence sound) key and report the
          degradation instead of hiding it. *)
-      Option.iter (fun s -> bump s.st_fallbacks 1) stats;
+      (match stats with Some s -> bump s.st_fallbacks 1 | None -> ());
       sc.last_orbit <- 0;
-      use_order ()
+      encode_order sc ~encode_perm n st
     end
     else begin
-      let garr = Array.of_list !groups in
-      let best = ref "" in
-      let stab = ref 0 in
-      let try_candidate () =
-        incr tried;
-        let e = use_order () in
-        if !stab = 0 then begin
-          best := e;
-          stab := 1
-        end
-        else
-          let c = String.compare e !best in
-          if c < 0 then begin
-            best := e;
-            stab := 1
-          end
-          else if c = 0 then incr stab
-      in
-      let rec enum gi =
-        if gi = Array.length garr then try_candidate ()
-        else begin
-          let lo, hi = garr.(gi) in
-          arrange lo hi gi
-        end
-      and arrange k hi gi =
-        if k >= hi then enum (gi + 1)
-        else
-          for j = k to hi do
-            let t = sc.order.(k) in
-            sc.order.(k) <- sc.order.(j);
-            sc.order.(j) <- t;
-            arrange (k + 1) hi gi;
-            let t = sc.order.(k) in
-            sc.order.(k) <- sc.order.(j);
-            sc.order.(j) <- t
-          done
-      in
-      enum 0;
+      sc.stab <- 0;
+      enum_groups sc ~encode_perm n st 0;
       (* Candidates achieving the minimum are exactly the stabilizer of
          the canonical representative, so orbit size = n! / |stab|. *)
       let f = factorial n in
-      sc.last_orbit <- (if f = 0 then 0 else f / !stab);
-      !best
+      sc.last_orbit <- (if f = 0 then 0 else f / sc.stab);
+      sc.best
     end
   in
-  Option.iter
-    (fun s ->
-      bump s.st_calls 1;
-      if !tied then bump s.st_tied_calls 1;
-      bump s.st_perms_tried !tried;
-      bump s.st_canon_ns (now_ns () - t0))
-    stats;
+  (match stats with
+  | Some s ->
+    bump s.st_calls 1;
+    if tied then bump s.st_tied_calls 1;
+    bump s.st_perms_tried sc.tried;
+    bump s.st_canon_ns (now_ns () - t0)
+  | None -> ());
   key
 
 let canonical_rv_fast ?stats ?max_perms (prog : Prog.t) st =

@@ -20,6 +20,13 @@ val encode_perm : Buffer.t -> int array -> t -> unit
 (** [encode_perm buf p m] writes exactly the bytes [encode] would write
     for [m] with every remote id [r] in its payload renamed to [p.(r)]. *)
 
+val encode_req : Buffer.t -> msg -> unit
+(** [encode_req buf m] writes the bytes of [encode buf (Req m)] without
+    allocating the [Req] block. *)
+
+val encode_req_perm : Buffer.t -> int array -> msg -> unit
+(** Likewise for [encode_perm buf p (Req m)]. *)
+
 val skip : string -> int -> int
 (** Position just past the {!encode}d message at [pos] in [s]; used when
     re-parsing encoded state keys for collapse compression.

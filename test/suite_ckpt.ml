@@ -201,6 +201,15 @@ let tests =
           checkb "trace ends at the violation" true
             (snd (List.nth path (List.length path - 1)) >= 90)
         | None -> Alcotest.fail "expected a trace");
+    case "seq: traced resume without ~prov is refused up front" (fun () ->
+        let sys = counter_system ~limit:100 in
+        in_dir @@ fun dir ->
+        ignore (Explore.run ~max_states:20 ~ckpt:(ckpt_to dir) sys);
+        let l = load_ok dir in
+        match Explore.run ~trace:true ~ckpt:(resume_of l) sys with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+          checkb ("names ~prov: " ^ msg) true (contains msg "~prov"));
     case "save is atomic and refuses every truncation" (fun () ->
         let sys = counter_system ~limit:60 in
         in_dir @@ fun dir ->

@@ -210,6 +210,62 @@ let tests =
         match r.outcome with
         | Explore.Violation { state; _ } -> checkb "found" true (state >= 7)
         | _ -> Alcotest.fail "expected violation");
+    case "traces: internal table = explicit ~prov, BFS and DFS" (fun () ->
+        (* a traced run without [~prov] records into its own table; the
+           path it reports must be the one an explicit table yields, and
+           a real run of the system ending at the reported state *)
+        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
+        let asys = async_system prog in
+        let check_same name sys ~key ~pp_label ~invariants ~check_deadlock =
+          List.iter
+            (fun (strategy, sname) ->
+              let name = name ^ " " ^ sname in
+              let run prov =
+                Explore.run ~strategy ~trace:true ?prov ~invariants
+                  ~check_deadlock sys
+              in
+              let internal = run None in
+              let explicit = run (Some (Ccr_modelcheck.Vstore.Prov.create ())) in
+              let bad =
+                match internal.outcome with
+                | Explore.Violation { state; _ } | Explore.Deadlock state -> state
+                | _ -> Alcotest.failf "%s: expected a violation or deadlock" name
+              in
+              let sig_of (r : _ Explore.stats) =
+                match r.trace with
+                | None -> Alcotest.failf "%s: expected a trace" name
+                | Some path ->
+                  List.map
+                    (fun (l, st) -> (Option.map (Fmt.str "%a" pp_label) l, key st))
+                    path
+              in
+              let path = sig_of internal in
+              checkb (name ^ ": same path") true (path = sig_of explicit);
+              checkb (name ^ ": starts at init") true
+                (List.hd path = (None, key sys.Explore.init));
+              checks (name ^ ": ends at the reported state") (key bad)
+                (snd (List.nth path (List.length path - 1)));
+              ignore
+                (List.fold_left
+                   (fun st (l, k) ->
+                     match
+                       List.find_opt
+                         (fun (l', st') ->
+                           Some (Fmt.str "%a" pp_label l') = l && key st' = k)
+                         (sys.Explore.succ st)
+                     with
+                     | Some (_, st') -> st'
+                     | None -> Alcotest.failf "%s: step to %S not enabled" name k)
+                   sys.Explore.init (List.tl path)))
+            [ (Explore.Bfs, "bfs"); (Explore.Dfs, "dfs") ]
+        in
+        check_same "migratory n=3 violation" asys ~key:Ccr_refine.Async.encode
+          ~pp_label:Ccr_refine.Async.pp_label ~check_deadlock:false
+          ~invariants:
+            [ ("few in flight", fun st -> Ccr_refine.Async.messages_in_flight st < 3) ];
+        check_same "counter deadlock" (counter_system ~limit:12)
+          ~key:string_of_int ~pp_label:Fmt.string ~check_deadlock:true
+          ~invariants:[]);
     case "bitstate hashing is a sound under-approximation" (fun () ->
         let exact = Explore.run (bits_system 10) in
         checki "exact" 1024 exact.states;

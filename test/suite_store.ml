@@ -291,6 +291,7 @@ let tests =
         let states = g.Ccr_modelcheck.Graph.states in
         let target = Async.encode states.(Array.length states - 1) in
         let invariants = [ ("not-last", fun st -> Async.encode st <> target) ] in
+        (* without [~prov] the engine records into its own mem table *)
         let legacy = Explore.run ~trace:true ~invariants sys in
         let sig_of r =
           match r.Explore.trace with

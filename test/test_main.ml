@@ -9,6 +9,7 @@ let () =
       Suite_mpx.suite;
       Suite_journal.suite;
       Suite_value.suite;
+      Suite_keys.suite;
       Suite_expr.suite;
       Suite_validate.suite;
       Suite_reqrep.suite;
