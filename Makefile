@@ -21,10 +21,24 @@ bench-fast:
 bench-json:
 	CCR_BENCH_FAST=1 CCR_BENCH_JSON=BENCH_$$(date +%Y%m%d).json dune exec bench/main.exe
 
-# Quick seq-vs-par equivalence check (the par_explore suite only), with
-# backtraces on so a worker-domain failure is attributable.
+# Quick seq-vs-par equivalence check (the par_explore suite, with
+# backtraces on so a worker-domain failure is attributable), then live:
+# a deadlocking check must print the -j 1 counts line under every
+# -j/--workers/--prov combination, and one symmetry-off invalidate n=4
+# run at -j 2.
+PAR_COUNTS = sed -e 's/, [jw]=2//' -e 's/[0-9.]*s, ~[0-9.]* MB//'
 par-smoke:
+	dune build @all
 	OCAMLRUNPARAM=b dune exec test/test_main.exe -- test par_explore
+	@want=$$(./_build/default/bin/ccr.exe check lock -n 2 --faults drop=1 \
+	    2>/dev/null | head -1 | $(PAR_COUNTS)); echo "-j 1: $$want"; \
+	for e in "-j 2" "-j 2 --prov mem" "--workers 2" "--workers 2 --prov disk"; do \
+	  got=$$(./_build/default/bin/ccr.exe check lock -n 2 --faults drop=1 $$e \
+	    2>/dev/null | head -1 | $(PAR_COUNTS)); echo "$$e: $$got"; \
+	  [ "$$got" = "$$want" ] || { echo "counts differ from -j 1"; exit 1; }; \
+	done
+	./_build/default/bin/ccr.exe check invalidate -n 4 --level async \
+	  --symmetry off -j 2
 
 # Observability layer: unit suite, CLI cram checks, and a live run of
 # every flag against a real protocol.

@@ -25,7 +25,6 @@ module Explore = Ccr_modelcheck.Explore
 module Vstore = Ccr_modelcheck.Vstore
 module Mpx = Ccr_modelcheck.Mpx
 module Ckpt = Ccr_modelcheck.Ckpt
-module Graph = Ccr_modelcheck.Graph
 module Async = Ccr_refine.Async
 module Fault = Ccr_faults.Fault
 module Injected = Ccr_faults.Injected
@@ -481,24 +480,14 @@ let explain_cmd =
              same at any $(b,-j)/$(b,--workers) setting.")
   in
   (* The rule-annotated path: row names from Tables 1-2, one step per
-     line, plus the per-transaction flow as an MSC when the labels carry
+     line, plus the per-transaction flow as an MSC when the path carries
      async messages. *)
-  let pp_path ppf ~lbl ~msc path =
-    Fmt.pf ppf "rule path (%d steps):@." (List.length path - 1);
-    let i = ref 0 in
-    List.iter
-      (fun (l, _) ->
-        match l with
-        | None -> ()
-        | Some l ->
-          incr i;
-          Fmt.pf ppf "  %3d. %s@." !i (lbl l))
-      path;
-    match msc with
-    | Some render ->
-      Fmt.pf ppf "flow (message-sequence chart):@.%s@."
-        (render (List.filter_map fst path))
-    | None -> ()
+  let pp_path ppf rules msc =
+    Fmt.pf ppf "rule path (%d steps):@." (List.length rules);
+    List.iteri (fun i r -> Fmt.pf ppf "  %3d. %s@." (i + 1) r) rules;
+    Option.iter
+      (fun msc -> Fmt.pf ppf "flow (message-sequence chart):@.%s@." msc)
+      msc
   in
   let run (e : Registry.t) n k generic violation state_id faults harden
       max_states =
@@ -509,161 +498,109 @@ let explain_cmd =
         Fmt.epr "%s has no rendezvous level to derive from.@." e.name;
         exit 1
       | Some sys -> print_string (Ccr_refine.Report.derive ~n sys))
-    | _ -> (
+    | _, Some id ->
       let prog = instantiate e ~generic ~n in
+      if fault_spec_of faults <> None then begin
+        Fmt.epr "--state applies to the fault-free level only.@.";
+        exit 1
+      end;
       let cfg = Async.{ k } in
-      let fspec = fault_spec_of faults in
+      let sys =
+        Explore.
+          {
+            init = Async.initial prog cfg;
+            succ = Async.successors prog cfg;
+            encode = Async.encode;
+            canon = None;
+          }
+      in
+      (* BFS ids are dense in discovery order, so capping the exploration
+         at id+1 states is enough to assign id. *)
       let prov = Vstore.Prov.create () in
-      match fspec with
-      | None -> (
-        let sys =
-          Explore.
-            {
-              init = Async.initial prog cfg;
-              succ = Async.successors prog cfg;
-              encode = Async.encode;
-              canon = None;
-            }
-        in
-        let lbl = Fmt.str "%a" Async.pp_label in
-        match state_id with
-        | Some id ->
-          (* BFS ids are dense in discovery order, so capping the
-             exploration at id+1 states is enough to assign id. *)
-          let _ =
-            Explore.run ~prov ~max_states:(max max_states (id + 1))
-              ~trace:false
-              ~invariants:(e.Registry.async_invariants prog)
-              sys
-          in
-          if id < 0 || id >= Vstore.Prov.count prov then begin
-            Fmt.epr "state %d not reached (%d states discovered)@." id
-              (Vstore.Prov.count prov);
-            exit 1
-          end;
-          let path = Explore.replay_path prov sys id in
-          Fmt.pr "%s (async, n=%d, k=%d): state %d@." e.name n k id;
-          pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog)) path;
-          (match List.rev path with
-          | (_, st) :: _ ->
-            Fmt.pr "state %d:@.%a@." id (Async.pp_state prog) st
-          | [] -> ())
-        | None -> (
-          let r =
-            Explore.run ~prov ~max_states ~check_deadlock:true ~trace:true
-              ~invariants:(e.Registry.async_invariants prog)
-              sys
-          in
-          match (r.Explore.outcome, r.Explore.trace) with
-          | Explore.Violation { invariant; _ }, Some path ->
-            Fmt.pr "%s (async, n=%d, k=%d): invariant %s violated@." e.name
-              n k invariant;
-            pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog))
-              path;
-            (match List.rev path with
-            | (_, st) :: _ ->
-              Fmt.pr "violating state:@.%a@." (Async.pp_state prog) st
-            | [] -> ())
-          | Explore.Deadlock _, Some path ->
-            Fmt.pr "%s (async, n=%d, k=%d): deadlock@." e.name n k;
-            pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog))
-              path
-          | _ ->
-            Fmt.pr
-              "%s (async, n=%d, k=%d): nothing to explain (%d states, \
-               invariants hold)@."
-              e.name n k r.Explore.states;
-            exit 1))
-      | Some spec -> (
-        if state_id <> None then begin
-          Fmt.epr "--state applies to the fault-free level only.@.";
+      let _ =
+        Explore.run ~prov ~max_states:(max max_states (id + 1)) ~trace:false
+          ~invariants:(e.Registry.async_invariants prog)
+          sys
+      in
+      if id < 0 || id >= Vstore.Prov.count prov then begin
+        Fmt.epr "state %d not reached (%d states discovered)@." id
+          (Vstore.Prov.count prov);
+        exit 1
+      end;
+      let path = Explore.replay_path prov sys id in
+      let rules =
+        List.filter_map
+          (fun (l, _) -> Option.map (Fmt.str "%a" Async.pp_label) l)
+          path
+      in
+      Fmt.pr "%s (async, n=%d, k=%d): state %d@." e.name n k id;
+      pp_path Fmt.stdout rules
+        (Some (Ccr_viz.Msc.render prog (List.filter_map fst path)));
+      (match List.rev path with
+      | (_, st) :: _ -> Fmt.pr "state %d:@.%a@." id (Async.pp_state prog) st
+      | [] -> ())
+    | true, None -> (
+      (* the check pipeline itself, on the full (unreduced) space *)
+      let cfg =
+        {
+          Api.default with
+          spec = Api.Named e.Registry.name;
+          n;
+          k;
+          generic;
+          symmetry = `Off;
+          faults;
+          harden;
+          max_states;
+        }
+      in
+      let v =
+        match Api.check_entry e cfg with
+        | Ok (v, _) -> v
+        | Error msg ->
+          Fmt.epr "%s@." msg;
           exit 1
-        end;
-        let mode = if harden then Injected.Hardened else Injected.Vanilla in
-        let sys =
-          Explore.
-            {
-              init = Injected.initial spec prog cfg;
-              succ = Injected.successors mode spec prog cfg;
-              encode = Injected.encode;
-              canon = None;
-            }
-        in
-        let lbl = Fmt.str "%a" Injected.pp_label in
-        let msc render labels =
-          render
-            (List.filter_map
-               (function Injected.Step al -> Some al | Injected.Fault _ -> None)
-               labels)
-        in
-        let invariants =
-          Injected.no_wedge
-          :: List.map Injected.lift_invariant
-               (e.Registry.async_invariants prog)
-        in
-        let r =
-          Explore.run ~prov ~max_states ~check_deadlock:true ~trace:true
-            ~invariants sys
-        in
-        match (r.Explore.outcome, r.Explore.trace) with
-        | Explore.Violation { invariant; _ }, Some path ->
-          Fmt.pr "%s (async, n=%d, k=%d, faults=%a): invariant %s violated@."
-            e.name n k Fault.pp spec invariant;
-          pp_path Fmt.stdout ~lbl
-            ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-            path
-        | Explore.Deadlock _, Some path ->
-          Fmt.pr "%s (async, n=%d, k=%d, faults=%a): deadlock@." e.name n k
-            Fault.pp spec;
-          pp_path Fmt.stdout ~lbl
-            ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-            path
-        | Explore.Complete, _ -> (
-          (* Safety held: the remaining explainable artifact is a
-             starvation witness from the liveness analysis — rebuilt by
-             the provenance-backed O(depth) parent-chain walk. *)
-          let g = Graph.build ~max_states sys in
-          if g.Graph.truncated then begin
-            Fmt.epr "graph truncated; raise --max-states@.";
-            exit 1
-          end;
-          let progress_of pred l =
-            match l with
-            | Injected.Step al -> Injected.completes al && pred al
-            | Injected.Fault _ -> false
-          in
-          let starved =
-            List.concat
-              (List.init n (fun i ->
-                   match
-                     Graph.violates_ag_ef g
-                       ~progress:(progress_of (fun al -> al.Async.actor = i))
-                   with
-                   | [] -> []
-                   | bad -> [ (i, bad) ]))
-          in
-          match starved with
-          | [] ->
-            Fmt.pr
-              "%s (async, n=%d, k=%d, faults=%a): nothing to explain \
-               (safety, deadlock-freedom and liveness all hold)@."
-              e.name n k Fault.pp spec;
-            exit 1
-          | (i, bad) :: _ ->
-            let path = Graph.path_to g (List.hd bad) in
-            Fmt.pr
-              "%s (async, n=%d, k=%d, faults=%a): remote %d can starve@."
-              e.name n k Fault.pp spec i;
-            pp_path Fmt.stdout ~lbl
-              ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-              path;
-            (match List.rev path with
-            | (_, st) :: _ ->
-              Fmt.pr "stuck state:@.%a@." (Injected.pp_fstate prog) st
-            | [] -> ()))
-        | _ ->
-          Fmt.pr "nothing to explain (exploration hit a cap)@.";
-          exit 1))
+      in
+      let name =
+        match faults with
+        | None -> Fmt.str "%s (async, n=%d, k=%d)" e.name n k
+        | Some _ ->
+          Fmt.str "%s (async, n=%d, k=%d, faults=%s)" e.name n k
+            (Api.faults_name cfg)
+      in
+      let rules = Option.value ~default:[] v.Api.v_rules in
+      match v.Api.v_outcome with
+      | "violation" ->
+        Fmt.pr "%s: invariant %s violated@." name
+          (Option.value ~default:"" v.Api.v_invariant);
+        pp_path Fmt.stdout rules v.Api.v_msc;
+        (match (faults, v.Api.v_state) with
+        | None, Some st -> Fmt.pr "violating state:@.%s@." st
+        | _ -> ())
+      | "deadlock" ->
+        Fmt.pr "%s: deadlock@." name;
+        pp_path Fmt.stdout rules v.Api.v_msc
+      | "starvation" ->
+        Fmt.pr "%s: remote %d can starve@." name
+          (Option.value ~default:0 v.Api.v_starved);
+        pp_path Fmt.stdout rules v.Api.v_msc;
+        Option.iter (Fmt.pr "stuck state:@.%s@.") v.Api.v_state
+      | _ when faults = None ->
+        Fmt.pr "%s: nothing to explain (%d states, invariants hold)@." name
+          v.Api.v_states;
+        exit 1
+      | "complete" when v.Api.v_truncated ->
+        Fmt.epr "graph truncated; raise --max-states@.";
+        exit 1
+      | "complete" ->
+        Fmt.pr
+          "%s: nothing to explain (safety, deadlock-freedom and liveness all \
+           hold)@."
+          name;
+        exit 1
+      | _ ->
+        Fmt.pr "nothing to explain (exploration hit a cap)@.";
+        exit 1)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -714,11 +651,12 @@ let check_cmd =
           None
       & info [ "prov" ] ~docv:"KIND"
           ~doc:
-            "Record per-state provenance (parent id + fired-rule ordinal, \
-             8 bytes per state) in $(b,mem) or out-of-core in $(b,disk).  \
-             Counterexamples are then rebuilt by an O(depth) parent-chain \
-             walk instead of the sequential re-exploration fallback that \
-             $(b,-j)/$(b,--workers) runs otherwise need.")
+            "Where to keep the per-state provenance (parent id + \
+             fired-rule ordinal, 8 bytes per state) that counterexamples \
+             are rebuilt from by an O(depth) parent-chain walk: \
+             $(b,mem), or out-of-core in $(b,disk).  Without this flag \
+             the table is resident and internal; with it, its size is \
+             reported.")
   in
   let deadline_arg =
     Arg.(

@@ -24,10 +24,6 @@ let key_fns sys =
 
 type limit = L_states | L_memory | L_time | L_interrupt
 
-type strategy = Bfs | Dfs
-
-type visited_mode = Exact | Bitstate of int
-
 type 's outcome =
   | Complete
   | Limit of limit
@@ -81,8 +77,6 @@ type 's ckpt = {
   ck_save : 's ckpt_view -> unit;
 }
 
-let bitstate_positions = Vstore.bitstate_positions
-
 (* Reconstruct the path to state [id] from a provenance table: walk the
    parent chain (O(depth) packed-slot reads), then replay the recorded
    successor ordinals from the initial state.  Exact — each ordinal pins
@@ -101,67 +95,40 @@ let replay_path prov sys id =
   in
   go sys.init (Vstore.Prov.chain prov id) [ (None, sys.init) ]
 
-(* The visited set: exact in-memory, collapse-compressed or out-of-core
-   per the [store] kind, or bitstate when the [visited] mode asks for it
-   (bitstate changes the semantics — approximate counts — so it stays a
-   mode, not a store, and takes precedence). *)
-let make_store ?init_slots ?tail_cap visited kind =
-  match visited with
-  | Exact -> Vstore.make ?init_slots ?tail_cap kind
-  | Bitstate b -> Vstore.bitstate b
+(* Traces come from a provenance table: the caller's, or an internal
+   resident one (8 bytes per state) — visited states are never kept.  A
+   resumed run's ids continue from the checkpoint, so only a table
+   restored alongside it can take them. *)
+let trace_prov ~engine ~trace prov ckpt =
+  match (prov, ckpt) with
+  | Some _, _ -> prov
+  | None, _ when not trace -> None
+  | None, Some { ck_resume = Some _; _ } ->
+    invalid_arg
+      (engine
+     ^ ": ~trace:true on a resumed checkpoint needs the checkpoint's \
+        provenance table; pass it as ~prov")
+  | None, _ -> Some (Vstore.Prov.create ())
 
-let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
-    ?max_mem_bytes ?max_time_s ?(check_deadlock = false) ?(trace = false)
-    ?(invariants = []) ?on_progress ?(progress_every = 8192) ?prov ?on_level
-    ?interrupt ?ckpt sys =
+let prov_recorder = function
+  | Some p -> fun ~id ~parent ~ord -> Vstore.Prov.record p ~id ~parent ~ord
+  | None -> fun ~id:_ ~parent:_ ~ord:_ -> ()
+
+let run ?(store = Vstore.Mem) ?max_states ?max_mem_bytes ?max_time_s
+    ?(check_deadlock = false) ?(trace = false) ?(invariants = []) ?on_progress
+    ?(progress_every = 8192) ?prov ?on_level ?interrupt ?ckpt sys =
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
-  let store = make_store visited store in
-  (* Checkpoint control is BFS-only: level boundaries are not meaningful
-     under DFS. *)
-  let ck = match ckpt with Some c when strategy = Bfs -> Some c | _ -> None in
-  (* Traces come from a provenance table: the caller's, or an internal
-     resident one (8 bytes per state) — visited states are never kept.
-     A resumed run's ids continue from the checkpoint, so only a table
-     restored alongside it can take them. *)
-  let prov =
-    match (prov, ck) with
-    | Some _, _ -> prov
-    | None, _ when not trace -> None
-    | None, Some { ck_resume = Some _; _ } ->
-      invalid_arg
-        "Explore.run: ~trace:true on a resumed checkpoint needs the \
-         checkpoint's provenance table; pass it as ~prov"
-    | None, _ -> Some (Vstore.Prov.create ())
-  in
-  let prov_record ~id ~parent ~ord =
-    match prov with
-    | Some p -> Vstore.Prov.record p ~id ~parent ~ord
-    | None -> ()
-  in
-  (* Level boundaries are only meaningful under BFS, where discovery
-     depth is monotone. *)
+  let store = Vstore.make store in
+  let prov = trace_prov ~engine:"Explore.run" ~trace prov ckpt in
+  let prov_record = prov_recorder prov in
   let emit_level =
-    match (on_level, strategy) with
-    | Some f, Bfs -> fun ~depth ~states -> f ~depth ~states
-    | _ -> fun ~depth:_ ~states:_ -> ()
+    match on_level with
+    | Some f -> f
+    | None -> fun ~depth:_ ~states:_ -> ()
   in
   let n_states = ref 0 in
-  let push_frontier, pop_frontier, frontier_empty, frontier_entries =
-    match strategy with
-    | Bfs ->
-      let q = Queue.create () in
-      ( (fun x -> Queue.push x q),
-        (fun () -> Queue.pop q),
-        (fun () -> Queue.is_empty q),
-        fun () -> List.of_seq (Queue.to_seq q) )
-    | Dfs ->
-      let s = Stack.create () in
-      ( (fun x -> Stack.push x s),
-        (fun () -> Stack.pop s),
-        (fun () -> Stack.is_empty s),
-        fun () -> List.of_seq (Stack.to_seq s) )
-  in
+  let frontier = Queue.create () in
   let n_transitions = ref 0 in
   let frontier_len = ref 0 in
   let peak_frontier = ref 0 in
@@ -220,14 +187,14 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       | _, Some cap when store.Vstore.mem_bytes () >= cap ->
         finish (Limit L_memory)
       | _ -> ());
-      push_frontier (st, id, depth);
+      Queue.push (st, id, depth) frontier;
       incr frontier_len;
       if !frontier_len > !peak_frontier then peak_frontier := !frontier_len;
       emit_progress depth
     end
   in
   let ck_save ~final ~head () =
-    match ck with
+    match ckpt with
     | None -> ()
     | Some c ->
       c.ck_save
@@ -239,13 +206,12 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
           v_frontier =
             (fun () ->
               let rest =
-                List.map
-                  (fun (st, id, d) -> (id, d, 0, st))
-                  (frontier_entries ())
+                Seq.map (fun (st, id, d) -> (id, d, 0, st))
+                  (Queue.to_seq frontier)
               in
-              Array.of_list
+              Array.of_seq
                 (match head with
-                | Some (st, id, d, o) -> (id, d, o, st) :: rest
+                | Some (st, id, d, o) -> Seq.cons (id, d, o, st) rest
                 | None -> rest));
           v_iter_keys = store.Vstore.iter_keys;
         }
@@ -254,7 +220,7 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
      the successors the interrupted run never traversed, so transition
      counts continue exactly where the checkpoint left them. *)
   let pending_skip = ref None in
-  (match ck with
+  (match ckpt with
   | Some { ck_resume = Some r; _ } ->
     r.r_keys (fun k -> ignore (store.Vstore.add k));
     n_states := r.r_states;
@@ -263,15 +229,15 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       (fun (id, d, o, st) ->
         if d > !max_depth then max_depth := d;
         if o > 0 then pending_skip := Some (id, o);
-        push_frontier (st, id, d);
+        Queue.push (st, id, d) frontier;
         incr frontier_len)
       r.r_frontier;
     peak_frontier := !frontier_len
   | _ -> discover sys.init 0 ~ord:(-1) ~depth:0);
   let last_depth = ref 0 in
   let inflight = ref None in
-  while (not (frontier_empty ())) && !finished = None do
-    let st, id, depth = pop_frontier () in
+  while (not (Queue.is_empty frontier)) && !finished = None do
+    let st, id, depth = Queue.pop frontier in
     decr frontier_len;
     let start_ord =
       match !pending_skip with
@@ -280,7 +246,7 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
         o
       | _ -> 0
     in
-    if ck <> None then begin
+    if ckpt <> None then begin
       (* first pop of a deeper level: every state of that level is
          discovered and none expanded — the resumable boundary *)
       if depth > !last_depth then
@@ -306,7 +272,7 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
           if ord >= start_ord && !finished = None then begin
             incr n_transitions;
             discover st' id ~ord ~depth:(depth + 1);
-            if ck <> None && !finished <> None then
+            if ckpt <> None && !finished <> None then
               inflight := Some (st, id, depth, ord + 1)
           end)
         succs
@@ -341,10 +307,116 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
 
 (* ---- parallel exploration (OCaml 5 domains) ------------------------------ *)
 
-(* Shard routing uses a third hash seed so it stays independent of both the
-   exact store's probe hash (seed 0) and the bitstate positions (0 and 1). *)
+(* Shard routing uses its own hash seed, independent of the exact store's
+   probe hash (seed 0); the low [shard_bits] of the hash pick the shard. *)
 let shard_seed = 2
-let n_shards = 64 (* power of two; log2 = 6 *)
+let shard_bits = 6
+let n_shards = 1 lsl shard_bits
+
+(* A successor's discovery tag packs its parent's frontier index and its
+   ordinal in the parent's successor list, so that integer order on tags
+   is the order the sequential engine discovers successors in. *)
+let ord_bits = 24
+let ord_mask = (1 lsl ord_bits) - 1
+
+(* Index of the first invariant [st] violates, or -1. *)
+let first_violated invariants st =
+  let rec go i = function
+    | [] -> -1
+    | (_, check) :: rest -> if check st then go (i + 1) rest else i
+  in
+  go 0 invariants
+
+(* The level table of one shard: the keys the shard first saw in the BFS
+   level being discovered.  Per key it keeps the smallest discovery tag
+   seen so far, the concrete state discovered under that tag — exactly
+   the candidate the sequential engine keeps, whichever domain reached
+   the key first — and the first invariant that state violates (-1:
+   none, or not checked yet).  An open-addressing index over the entries
+   is probed with the shard-routing hash, so a lookup costs no second
+   hash of the key. *)
+module Level = struct
+  type 's t = {
+    mutable index : int array;  (** entry + 1; 0 = empty slot *)
+    mutable keys : string array;
+    mutable hashes : int array;
+    mutable tags : int array;
+    mutable sts : 's array;
+    mutable bad : int array;
+    mutable n : int;
+  }
+
+  let create () =
+    {
+      index = Array.make 16 0;
+      keys = [||];
+      hashes = [||];
+      tags = [||];
+      sts = [||];
+      bad = [||];
+      n = 0;
+    }
+
+  let slot index h = (h lsr shard_bits) land (Array.length index - 1)
+
+  (* the entry holding [key], or -1 *)
+  let find t h key =
+    let mask = Array.length t.index - 1 in
+    let rec probe j =
+      let e = t.index.(j) - 1 in
+      if e < 0 then -1
+      else if t.hashes.(e) = h && String.equal t.keys.(e) key then e
+      else probe ((j + 1) land mask)
+    in
+    probe (slot t.index h)
+
+  let link index h e =
+    let mask = Array.length index - 1 in
+    let j = ref (slot index h) in
+    while index.(!j) <> 0 do
+      j := (!j + 1) land mask
+    done;
+    index.(!j) <- e + 1
+
+  (* a new entry, its invariants not yet checked; returns its index *)
+  let add t h key tag st =
+    let e = t.n in
+    if e = Array.length t.tags then begin
+      let grow a fill =
+        let b = Array.make (max 16 (2 * e)) fill in
+        Array.blit a 0 b 0 e;
+        b
+      in
+      t.keys <- grow t.keys "";
+      t.hashes <- grow t.hashes 0;
+      t.tags <- grow t.tags 0;
+      t.sts <- grow t.sts st;
+      t.bad <- grow t.bad 0
+    end;
+    t.keys.(e) <- key;
+    t.hashes.(e) <- h;
+    t.tags.(e) <- tag;
+    t.sts.(e) <- st;
+    t.bad.(e) <- -1;
+    t.n <- e + 1;
+    if 2 * t.n > Array.length t.index then begin
+      t.index <- Array.make (2 * Array.length t.index) 0;
+      for e = 0 to t.n - 1 do
+        link t.index t.hashes.(e) e
+      done
+    end
+    else link t.index h e;
+    e
+
+  (* forget the level, keeping the arrays for the next one *)
+  let clear t filler =
+    Array.fill t.index 0 (Array.length t.index) 0;
+    Array.fill t.keys 0 t.n "";
+    Array.fill t.sts 0 t.n filler;
+    t.n <- 0
+end
+
+type 's shard = { lock : Mutex.t; store : Vstore.t; level : 's Level.t }
 
 (* A reusable rendezvous point for [jobs] domains.  Phase counting makes it
    safe to reuse back-to-back (a fast domain cannot lap a slow one). *)
@@ -366,9 +438,9 @@ let make_barrier jobs =
       done;
     Mutex.unlock lock
 
-let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
-    ?max_mem_bytes ?max_time_s ?(check_deadlock = false) ?(trace = false)
-    ?(invariants = []) ?on_progress ?prov ?on_level ?interrupt ?ckpt sys =
+let par_run ?jobs ?(store = Vstore.Mem) ?max_states ?max_mem_bytes
+    ?max_time_s ?(check_deadlock = false) ?(trace = false) ?(invariants = [])
+    ?on_progress ?prov ?on_level ?interrupt ?ckpt sys =
   let jobs =
     match jobs with
     | Some j -> max 1 j
@@ -376,102 +448,137 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   in
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
-  let store_kind = store in
-  let prov_mode = prov <> None in
-  let prov_record ~id ~parent ~ord =
-    match prov with
-    | Some p -> Vstore.Prov.record p ~id ~parent ~ord
-    | None -> ()
-  in
+  let prov = trace_prov ~engine:"Explore.par_run" ~trace prov ckpt in
+  let prov_record = prov_recorder prov in
   (* Sharded visited set: [n_shards] independent stores, each behind its own
      mutex; states route to a shard by a seeded hash of the encoded key, so
      two domains only contend when they discover states that share a shard.
      Shards start with small index tables and tail buffers: mem_bytes is
      honest about table overhead, so 64 eagerly-sized shards would eat a
-     small memory cap up front.  In [Bitstate b] mode each shard holds a
-     table of [2^(b - log2 n_shards)] bits, keeping total memory at the
-     sequential [2^b] bits (collision patterns differ from the sequential
-     table's, so bitstate counts are, as always, approximate). *)
-  let shard_stores =
-    match (visited, store_kind) with
-    | Exact, Vstore.Collapse split ->
+     small memory cap up front. *)
+  let stores =
+    match store with
+    | Vstore.Collapse split ->
       (* shared intern layer: per-shard tables would multiply the
          component-table memory by the shard count *)
       Vstore.collapse_shared ~init_slots:256 ~split n_shards
-    | Exact, (Vstore.Mem | Vstore.Disk) ->
+    | Vstore.Mem | Vstore.Disk ->
       Array.init n_shards (fun _ ->
-          Vstore.make ~init_slots:256 ~tail_cap:8192 store_kind)
-    | Bitstate b, _ -> Array.init n_shards (fun _ -> Vstore.bitstate (b - 6))
+          Vstore.make ~init_slots:256 ~tail_cap:8192 store)
   in
-  let shards = Array.map (fun s -> (Mutex.create (), s)) shard_stores in
-  let shard_add key =
-    let lock, store =
-      shards.(Hashtbl.seeded_hash shard_seed key land (n_shards - 1))
+  let shards =
+    Array.map
+      (fun store -> { lock = Mutex.create (); store; level = Level.create () })
+      stores
+  in
+  let hash key = Hashtbl.seeded_hash shard_seed key in
+  let shard_of h = shards.(h land (n_shards - 1)) in
+  (* Keys equal without a [canon] hook mean equal states (the encoding is
+     injective), so only under a canonical key does a smaller tag bring a
+     new representative, whose invariants need checking. *)
+  let recheck = sys.canon <> None in
+  (* Under the shard lock: offer the key, and return the level entry
+     [st] now holds and whose invariants are unchecked, or -1. *)
+  let offer sh h key tag st =
+    let lv = sh.level in
+    if sh.store.Vstore.add key then Level.add lv h key tag st
+    else
+      let e = Level.find lv h key in
+      if e >= 0 && tag < lv.Level.tags.(e) then begin
+        lv.Level.tags.(e) <- tag;
+        if recheck then begin
+          lv.Level.sts.(e) <- st;
+          lv.Level.bad.(e) <- -1;
+          e
+        end
+        else -1
+      end
+      else -1
+  in
+  let shard_offer key tag st =
+    let h = hash key in
+    let sh = shard_of h in
+    Mutex.lock sh.lock;
+    let e =
+      match offer sh h key tag st with
+      | e ->
+        Mutex.unlock sh.lock;
+        e
+      | exception x ->
+        Mutex.unlock sh.lock;
+        raise x
     in
-    Mutex.lock lock;
-    let fresh = store.Vstore.add key in
-    Mutex.unlock lock;
-    fresh
+    (* The invariants run outside the lock (a blocked domain sleeps);
+       a violation is recorded only while [st] still holds its entry.
+       A smaller tag may have claimed the entry meanwhile: without
+       [recheck] it keeps [st], so the verdict stands; with it, it brings
+       its own state, which its offerer checks. *)
+    if e >= 0 then begin
+      let b = first_violated invariants st in
+      if b >= 0 then begin
+        Mutex.lock sh.lock;
+        if sh.level.Level.sts.(e) == st then sh.level.Level.bad.(e) <- b;
+        Mutex.unlock sh.lock
+      end
+    end
   in
   let total_bytes () =
-    Array.fold_left (fun acc (_, s) -> acc + s.Vstore.mem_bytes ()) 0 shards
+    Array.fold_left (fun acc sh -> acc + sh.store.Vstore.mem_bytes ()) 0 shards
   in
   let total_raw () =
-    Array.fold_left (fun acc (_, s) -> acc + s.Vstore.raw_bytes ()) 0 shards
+    Array.fold_left (fun acc sh -> acc + sh.store.Vstore.raw_bytes ()) 0 shards
   in
   (* Cooperative stop flag, polled by every domain between expansions. *)
   let stop = Atomic.make false in
   let timed_out = Atomic.make false in
   let intr = Atomic.make false in
-  (* First violation/deadlock/exception seen by any domain, in arrival
-     order (the deterministic report comes from the sequential fallback). *)
-  let event_lock = Mutex.create () in
-  let event = ref None in
-  (* With provenance the event is instead selected deterministically by
-     the leader at a level boundary (the sequential-first event), with its
-     bad-state id — no fallback re-run needed. *)
-  let prov_event = ref None in
+  let exn_lock = Mutex.create () in
   let worker_exn = ref None in
-  let record_event e =
-    Mutex.lock event_lock;
-    if !event = None then event := Some e;
-    Mutex.unlock event_lock;
+  let record_exn exn bt =
+    Mutex.lock exn_lock;
+    if !worker_exn = None then worker_exn := Some (exn, bt);
+    Mutex.unlock exn_lock;
     Atomic.set stop true
   in
-  let record_exn exn bt =
-    Mutex.lock event_lock;
-    if !worker_exn = None then worker_exn := Some (exn, bt);
-    Mutex.unlock event_lock;
-    Atomic.set stop true
+  let guarded f =
+    (* exceptions must not break out of the barrier protocol: record,
+       stop everyone, re-raise after the join *)
+    try f () with exn -> record_exn exn (Printexc.get_raw_backtrace ())
   in
   (* Level-synchronous BFS.  All domains drain the current frontier in
-     batches claimed off an atomic cursor; newly discovered states
-     accumulate in per-domain buffers; at the level boundary the leader
-     (worker 0) splices the buffers into the next frontier and applies the
-     resource caps.  Expanding strictly level by level preserves BFS
-     semantics, and per-domain buffers keep the shared structures cold
-     inside a level. *)
+     batches claimed off an atomic cursor, offering each successor to its
+     shard with its discovery tag (the shard keeps the smallest tag per
+     new key, and checks the invariants on the state it keeps).  At the
+     level boundary the leader (domain 0) orders the level's new states
+     by tag — the sequential engine's discovery order — assigns their
+     ids, records provenance, picks the sequential-first violation or
+     deadlock and applies the caps.  So the frontier, ids,
+     representatives and the reported event are the sequential engine's
+     at any job count. *)
   let frontier = ref [| sys.init |] in
+  (* successor count of each frontier index: the transitions the
+     sequential engine takes before a given event *)
+  let nsucc = ref [| 0 |] in
   let cursor = Atomic.make 0 in
   let batch = 32 in
-  let next = Array.init jobs (fun _ -> ref []) in
-  let trans = Array.init jobs (fun _ -> ref 0) in
+  let dead_idx = Array.make jobs max_int in
   let n_states = ref 0 in
+  let n_trans = ref 0 in
+  let event = ref None in
   let limit_hit = ref None in
   let keep_going = ref true in
   let cur_depth = ref 0 in
   let peak_frontier = ref 1 in
   let barrier = make_barrier jobs in
-  (* Only the leader (worker 0) emits progress, at level boundaries; the
-     reads of other domains' transition counters and shard fills are
-     unsynchronized (monitoring data, exactness not required). *)
+  (* Only the leader emits progress, at level boundaries, when every
+     other domain is parked at the barrier. *)
   let emit_progress () =
     match on_progress with
     | None -> ()
     | Some f ->
       let total = !n_states in
       let maxc =
-        Array.fold_left (fun m (_, s) -> max m (s.Vstore.count ())) 0 shards
+        Array.fold_left (fun m sh -> max m (sh.store.Vstore.count ())) 0 shards
       in
       let balance =
         if total = 0 then 1.0
@@ -481,7 +588,7 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       f
         {
           Ccr_obs.Progress.states = total;
-          transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
+          transitions = !n_trans;
           depth = !cur_depth;
           frontier = Array.length !frontier;
           rate = (if elapsed > 0. then float_of_int total /. elapsed else 0.);
@@ -490,37 +597,6 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
           elapsed_s = elapsed;
         }
   in
-  let discover wid st' =
-    let key = key_of st' in
-    if shard_add key then begin
-      on_fresh st';
-      next.(wid) := st' :: !(next.(wid));
-      match List.find_opt (fun (_, check) -> not (check st')) invariants with
-      | Some (name, _) -> record_event (Violation { invariant = name; state = st' })
-      | None -> ()
-    end
-  in
-  (* Under symmetry reduction which orbit member reaches the visited set
-     first decides the concrete representative whose successors get
-     explored — and for protocols that are symmetric only up to dead
-     rid-variable resets, different representatives reach different key
-     sets.  The racy [discover] above would then make counts depend on the
-     within-level race.  So with a [canon] hook the workers merely buffer
-     every successor, tagged with its (frontier index, successor ordinal),
-     and the leader replays the buffers in that order at the level
-     boundary: freshness is decided exactly as the sequential engine would,
-     so par_run keeps its counts-equal-seq determinism. *)
-  let has_canon = sys.canon <> None in
-  (* Provenance needs the same discovery order as the sequential engine
-     (dense ids in seq-BFS order), so it forces the buffered leader-replay
-     path even without a canon hook. *)
-  let ordered = has_canon || prov_mode in
-  let pend = Array.init jobs (fun _ -> ref []) in
-  (* In prov mode deadlocks must not stop the level (the level has to
-     complete for deterministic ids); each worker keeps the minimum
-     frontier index it saw deadlock at, and the leader compares that with
-     the first replayed violation at the boundary. *)
-  let dead_idx = Array.init jobs (fun _ -> ref max_int) in
   let expand wid i st =
     (* same cap discipline as the sequential engine: consult the clock
        before every expansion *)
@@ -536,20 +612,199 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     | _ -> ());
     if not (Atomic.get stop) then begin
       let succs = sys.succ st in
-      if check_deadlock && succs = [] then
-        if prov_mode then begin
-          if i < !(dead_idx.(wid)) then dead_idx.(wid) := i
-        end
-        else record_event (Deadlock st);
-      trans.(wid) := !(trans.(wid)) + List.length succs;
-      if ordered then
-        (* canonicalization (the expensive step) stays in the workers *)
-        List.iteri
+      if check_deadlock && succs = [] && i < dead_idx.(wid) then
+        dead_idx.(wid) <- i;
+      let n =
+        List.fold_left
           (fun ord (_, st') ->
-            pend.(wid) := (i, ord, key_of st', st') :: !(pend.(wid)))
-          succs
-      else List.iter (fun (_, st') -> discover wid st') succs
+            if ord > ord_mask then
+              invalid_arg "Explore.par_run: successor ordinal out of range";
+            shard_offer (key_of st') ((i lsl ord_bits) lor ord) st';
+            ord + 1)
+          0 succs
+      in
+      !nsucc.(i) <- n
     end
+  in
+  let iter_level f =
+    Array.iter
+      (fun sh ->
+        let lv = sh.level in
+        for e = 0 to lv.Level.n - 1 do
+          f lv e
+        done)
+      shards
+  in
+  (* The level boundary, in the leader. *)
+  let merge_level () =
+    let f = !frontier and counts = !nsucc in
+    let len = Array.length f in
+    let base_cur = !n_states - len in
+    (* Order the level by tag: a counting sort on the parent index, then
+       an insertion sort, which only ever moves an entry within its
+       parent's few children. *)
+    let starts = Array.make (len + 1) 0 in
+    let first_viol = ref None in
+    iter_level (fun lv e ->
+        let t = lv.Level.tags.(e) in
+        let i = t lsr ord_bits in
+        starts.(i + 1) <- starts.(i + 1) + 1;
+        let b = lv.Level.bad.(e) in
+        match !first_viol with
+        | Some (t', _, _) when t' < t -> ()
+        | _ when b >= 0 ->
+          first_viol := Some (t, fst (List.nth invariants b), lv.Level.sts.(e))
+        | _ -> ());
+    (* The sequential engine meets a deadlock at frontier index [d]
+       before any discovery from [d], so a deadlock wins against a
+       violation discovered from index [i] iff [d <= i].  A level cut
+       short by the clock or an interrupt is partial: no event. *)
+    let dead = Array.fold_left min max_int dead_idx in
+    Array.fill dead_idx 0 jobs max_int;
+    let ev =
+      if Atomic.get timed_out || Atomic.get intr then None
+      else
+        match !first_viol with
+        | Some (t, name, st) when dead > t lsr ord_bits ->
+          Some (`V (t, name, st))
+        | _ when dead < max_int -> Some (`D dead)
+        | _ -> None
+    in
+    for i = 1 to len do
+      starts.(i) <- starts.(i) + starts.(i - 1)
+    done;
+    let total = starts.(len) in
+    let tags = Array.make total 0 and next = Array.make total sys.init in
+    iter_level (fun lv e ->
+        let t = lv.Level.tags.(e) in
+        let p = starts.(t lsr ord_bits) in
+        starts.(t lsr ord_bits) <- p + 1;
+        tags.(p) <- t;
+        next.(p) <- lv.Level.sts.(e));
+    Array.iter (fun sh -> Level.clear sh.level sys.init) shards;
+    for p = 1 to total - 1 do
+      let t = tags.(p) and st = next.(p) in
+      let q = ref p in
+      while !q > 0 && tags.(!q - 1) > t do
+        tags.(!q) <- tags.(!q - 1);
+        next.(!q) <- next.(!q - 1);
+        decr q
+      done;
+      tags.(!q) <- t;
+      next.(!q) <- st
+    done;
+    (* The sequential engine stops right after discovering a violating
+       state, or before any discovery from a deadlocked one: [m] of the
+       level's states are then discovered.  It also stops at exactly
+       [max_states], so an event past the cap is never reached. *)
+    let before cut =
+      let k = ref 0 in
+      while !k < total && tags.(!k) < cut do
+        incr k
+      done;
+      !k
+    in
+    let ev, m =
+      match ev with
+      | None -> (None, total)
+      | Some ev -> (
+        (* [m], and the state count that would have hit the cap first *)
+        let m, capped_at =
+          match ev with
+          | `V (t, _, _) ->
+            let m = before (t + 1) in
+            (m, !n_states + m)
+          | `D d ->
+            let m = before (d lsl ord_bits) in
+            (m, !n_states + m + 1)
+        in
+        match max_states with
+        | Some cap when capped_at > cap -> (None, total)
+        | _ -> (Some ev, m))
+    in
+    for r = 0 to m - 1 do
+      let t = tags.(r) in
+      on_fresh next.(r);
+      prov_record ~id:(!n_states + r)
+        ~parent:(base_cur + (t lsr ord_bits))
+        ~ord:(t land ord_mask)
+    done;
+    let next = if m = total then next else Array.sub next 0 m in
+    (* transitions up to the event: every successor of the indices before
+       it, plus the violating successor's own ordinal + 1 *)
+    let upto i =
+      let acc = ref 0 in
+      for j = 0 to i - 1 do
+        acc := !acc + counts.(j)
+      done;
+      !acc
+    in
+    (n_trans :=
+       !n_trans
+       +
+       match ev with
+       | None -> upto len
+       | Some (`V (t, _, _)) -> upto (t lsr ord_bits) + (t land ord_mask) + 1
+       | Some (`D d) -> upto d);
+    (* Level boundary: the frontier's level is fully expanded.  Depth
+       and cumulative state count only — deterministic across engines
+       and parallelism, unlike transition interleavings. *)
+    (match on_level with
+    | Some f when m > 0 -> f ~depth:!cur_depth ~states:!n_states
+    | _ -> ());
+    n_states := !n_states + m;
+    frontier := next;
+    nsucc := Array.make m 0;
+    Atomic.set cursor 0;
+    if m > 0 then begin
+      incr cur_depth;
+      if m > !peak_frontier then peak_frontier := m;
+      emit_progress ()
+    end;
+    (match ev with
+    | Some (`V (_, name, st)) ->
+      event := Some (Violation { invariant = name; state = st }, !n_states - 1);
+      Atomic.set stop true
+    | Some (`D d) ->
+      event := Some (Deadlock f.(d), base_cur + d);
+      Atomic.set stop true
+    | None -> ());
+    (match (max_states, max_mem_bytes) with
+    | _ when !event <> None -> ()
+    | Some cap, _ when !n_states >= cap ->
+      limit_hit := Some (Limit L_states);
+      Atomic.set stop true
+    | _, Some cap when total_bytes () >= cap ->
+      limit_hit := Some (Limit L_memory);
+      Atomic.set stop true
+    | _ -> ());
+    if Atomic.get intr then limit_hit := Some (Limit L_interrupt);
+    if Atomic.get timed_out then limit_hit := Some (Limit L_time);
+    keep_going := (not (Atomic.get stop)) && m > 0;
+    (* Checkpoint at the level boundary — but not after a mid-level stop
+       (time cap or interrupt caught workers part-way through a level, so
+       the merged frontier is partial and not resumable; the previously
+       written checkpoint stands). *)
+    match ckpt with
+    | Some c
+      when m > 0
+           && (not (Atomic.get timed_out))
+           && (not (Atomic.get intr))
+           && !event = None ->
+      let base = !n_states - m in
+      let d = !cur_depth in
+      c.ck_save
+        {
+          v_states = !n_states;
+          v_transitions = !n_trans;
+          v_depth = d;
+          v_final = not !keep_going;
+          v_frontier =
+            (fun () -> Array.mapi (fun i st -> (base + i, d, 0, st)) next);
+          v_iter_keys =
+            (fun f -> Array.iter (fun sh -> sh.store.Vstore.iter_keys f) shards);
+        }
+    | _ -> ()
   in
   let worker wid () =
     let running = ref true in
@@ -562,146 +817,13 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
         if start >= len then exhausted := true
         else
           for i = start to min len (start + batch) - 1 do
-            if not (Atomic.get stop) then
-              (* exceptions must not break out of the barrier protocol:
-                 record, stop everyone, re-raise after the join *)
-              try expand wid i f.(i)
-              with exn -> record_exn exn (Printexc.get_raw_backtrace ())
+            if not (Atomic.get stop) then guarded (fun () -> expand wid i f.(i))
           done
       done;
       barrier ();
       if wid = 0 then begin
-        (* merge the per-domain discoveries into the next frontier *)
-        let base_cur = !n_states - Array.length !frontier in
-        let first_viol = ref None in
-        let level =
-          if ordered then begin
-            (* replay the buffered discoveries in (frontier index,
-               successor ordinal) order — the order the sequential engine
-               discovers them in — so the representative kept per
-               canonical key is race-free and identical to [run]'s *)
-            let entries =
-              Array.of_list
-                (List.concat_map
-                   (fun r ->
-                     let l = !r in
-                     r := [];
-                     l)
-                   (Array.to_list pend))
-            in
-            Array.sort
-              (fun (i1, o1, _, _) (i2, o2, _, _) ->
-                if i1 <> i2 then compare i1 i2 else compare o1 o2)
-              entries;
-            let acc = ref [] in
-            let fresh_n = ref 0 in
-            Array.iter
-              (fun (i, ord, key, st') ->
-                if shard_add key then begin
-                  on_fresh st';
-                  prov_record
-                    ~id:(!n_states + !fresh_n)
-                    ~parent:(base_cur + i) ~ord;
-                  incr fresh_n;
-                  acc := st' :: !acc;
-                  match
-                    List.find_opt (fun (_, check) -> not (check st')) invariants
-                  with
-                  | Some (name, _) ->
-                    if prov_mode then begin
-                      if !first_viol = None then
-                        first_viol :=
-                          Some (i, ord, !n_states + !fresh_n - 1, name, st')
-                    end
-                    else record_event (Violation { invariant = name; state = st' })
-                  | None -> ()
-                end)
-              entries;
-            List.rev !acc
-          end
-          else
-            List.concat_map
-              (fun r ->
-                let l = !r in
-                r := [];
-                l)
-              (Array.to_list next)
-        in
-        (* Deterministic event selection: the sequential engine would hit
-           a deadlock at frontier index d before any discovery from d, so
-           a deadlock wins against a violation replayed at (i, ord) iff
-           d <= i.  Only the earliest level with an event reports. *)
-        (if prov_mode && !prov_event = None && not (Atomic.get timed_out)
-         then begin
-           let dmin =
-             Array.fold_left
-               (fun m r ->
-                 let v = !r in
-                 r := max_int;
-                 min m v)
-               max_int dead_idx
-           in
-           match (!first_viol, dmin) with
-           | None, d when d = max_int -> ()
-           | Some (i, _ord, id, name, st'), d when d = max_int || d > i ->
-             prov_event :=
-               Some (Violation { invariant = name; state = st' }, id);
-             Atomic.set stop true
-           | _, d ->
-             prov_event := Some (Deadlock (!frontier).(d), base_cur + d);
-             Atomic.set stop true
-         end);
-        (* Level boundary: the frontier's level is fully expanded.  Depth
-           and cumulative state count only — deterministic across engines
-           and parallelism, unlike transition interleavings. *)
-        (match on_level with
-        | Some f when level <> [] -> f ~depth:!cur_depth ~states:!n_states
-        | _ -> ());
-        n_states := !n_states + List.length level;
-        frontier := Array.of_list level;
-        Atomic.set cursor 0;
-        if Array.length !frontier > 0 then begin
-          incr cur_depth;
-          if Array.length !frontier > !peak_frontier then
-            peak_frontier := Array.length !frontier;
-          emit_progress ()
-        end;
-        (match (max_states, max_mem_bytes) with
-        | Some cap, _ when !n_states >= cap ->
-          limit_hit := Some (Limit L_states);
-          Atomic.set stop true
-        | _, Some cap when total_bytes () >= cap ->
-          limit_hit := Some (Limit L_memory);
-          Atomic.set stop true
-        | _ -> ());
-        if Atomic.get intr then limit_hit := Some (Limit L_interrupt);
-        if Atomic.get timed_out then limit_hit := Some (Limit L_time);
-        keep_going := (not (Atomic.get stop)) && Array.length !frontier > 0;
-        (* Checkpoint at the level boundary — but not after a mid-level
-           stop (time cap or interrupt caught workers part-way through a
-           level, so the merged frontier is partial and not resumable;
-           the previously written checkpoint stands). *)
-        (match ckpt with
-        | Some c
-          when Array.length !frontier > 0
-               && (not (Atomic.get timed_out))
-               && (not (Atomic.get intr))
-               && !event = None && !prov_event = None ->
-          let len = Array.length !frontier in
-          let base = !n_states - len in
-          let d = !cur_depth in
-          c.ck_save
-            {
-              v_states = !n_states;
-              v_transitions = Array.fold_left (fun a r -> a + !r) 0 trans;
-              v_depth = d;
-              v_final = not !keep_going;
-              v_frontier =
-                (fun () -> Array.mapi (fun i st -> (base + i, d, 0, st)) !frontier);
-              v_iter_keys =
-                (fun f -> Array.iter (fun (_, s) -> s.Vstore.iter_keys f) shards);
-            }
-        | _ -> ())
+        if !worker_exn = None then guarded merge_level;
+        if !worker_exn <> None then keep_going := false
       end;
       barrier ();
       running := !keep_going
@@ -722,86 +844,58 @@ let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
             "Explore.par_run: mid-level checkpoint (saved by the \
              sequential engine); resume it with -j 1")
       r.r_frontier;
-    r.r_keys (fun k -> ignore (shard_add k));
+    r.r_keys (fun k -> ignore ((shard_of (hash k)).store.Vstore.add k));
     n_states := r.r_states;
-    trans.(0) := r.r_transitions;
+    n_trans := r.r_transitions;
     frontier := Array.map (fun (_, _, _, st) -> st) r.r_frontier;
+    nsucc := Array.make len 0;
     cur_depth := d0;
     peak_frontier := len
-  | _ ->
-    ignore (shard_add (key_of sys.init));
-    on_fresh sys.init;
+  | _ -> (
+    let init = sys.init in
+    let key = key_of init in
+    ignore ((shard_of (hash key)).store.Vstore.add key);
+    on_fresh init;
     prov_record ~id:0 ~parent:0 ~ord:(-1);
     n_states := 1;
-    (match
-       List.find_opt (fun (_, check) -> not (check sys.init)) invariants
-     with
+    match List.find_opt (fun (_, check) -> not (check init)) invariants with
     | Some (name, _) ->
-      if prov_mode then begin
-        prov_event :=
-          Some (Violation { invariant = name; state = sys.init }, 0);
-        Atomic.set stop true
-      end
-      else record_event (Violation { invariant = name; state = sys.init })
+      event := Some (Violation { invariant = name; state = init }, 0);
+      Atomic.set stop true
     | None -> ()));
   (match max_states with
-  | Some cap when !n_states >= cap ->
+  | Some cap when !event = None && !n_states >= cap ->
     limit_hit := Some (Limit L_states);
     Atomic.set stop true
   | _ -> ());
-  let others = List.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  worker 0 ();
-  List.iter Domain.join others;
+  if not (Atomic.get stop) then begin
+    let others =
+      List.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1)))
+    in
+    worker 0 ();
+    List.iter Domain.join others
+  end;
   (match !worker_exn with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ());
-  match (!prov_event, !event) with
-  | Some (outcome, bad_id), _ ->
-    (* The leader already selected the sequential-first event and its
-       state id; the counterexample is an O(depth) provenance chain walk
-       — no re-exploration. *)
-    let trace_path =
-      match (trace, prov) with
-      | true, Some p -> Some (replay_path p sys bad_id)
-      | _ -> None
-    in
-    {
-      outcome;
-      states = !n_states;
-      transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
-      time_s = Unix.gettimeofday () -. t0;
-      mem_bytes = total_bytes ();
-      raw_bytes = total_raw ();
-      peak_frontier = !peak_frontier;
-      max_depth = !cur_depth;
-      canon_fallbacks = canon_fallbacks ();
-      trace = trace_path;
-    }
-  | None, Some _ ->
-    (* A violation or deadlock was found without provenance.  Which one
-       the stats report, and the counterexample trace, must be
-       deterministic: fall back to a sequential BFS re-run, which returns
-       the canonical (shallowest, first-discovered) event with its
-       shortest-path trace. *)
-    let r =
-      run ~strategy:Bfs ~visited ~store:store_kind ?max_states ?max_mem_bytes
-        ?max_time_s ~check_deadlock ~trace ~invariants ?on_progress ?interrupt
-        sys
-    in
-    { r with time_s = Unix.gettimeofday () -. t0 }
-  | None, None ->
-    {
-      outcome = (match !limit_hit with Some o -> o | None -> Complete);
-      states = !n_states;
-      transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
-      time_s = Unix.gettimeofday () -. t0;
-      mem_bytes = total_bytes ();
-      raw_bytes = total_raw ();
-      peak_frontier = !peak_frontier;
-      max_depth = !cur_depth;
-      canon_fallbacks = canon_fallbacks ();
-      trace = None;
-    }
+  let outcome, trace_path =
+    match (!event, prov) with
+    | Some (o, bad_id), Some p when trace -> (o, Some (replay_path p sys bad_id))
+    | Some (o, _), _ -> (o, None)
+    | None, _ -> ((match !limit_hit with Some o -> o | None -> Complete), None)
+  in
+  {
+    outcome;
+    states = !n_states;
+    transitions = !n_trans;
+    time_s = Unix.gettimeofday () -. t0;
+    mem_bytes = total_bytes ();
+    raw_bytes = total_raw ();
+    peak_frontier = !peak_frontier;
+    max_depth = !cur_depth;
+    canon_fallbacks = canon_fallbacks ();
+    trace = trace_path;
+  }
 
 let pp_outcome pp_state ppf = function
   | Complete -> Fmt.string ppf "complete"

@@ -17,9 +17,10 @@ type 's canon = {
           The sequential engine calls it in the domain that canonicalized
           the state, so per-state canonicalization by-products (e.g. orbit
           sizes held in domain-local storage) are still readable; the
-          parallel engine decides freshness in the leader domain at level
-          boundaries, so such by-products are {e not} readable there —
-          attach domain-local harvesting only for sequential runs *)
+          parallel engines decide freshness at level boundaries, away
+          from the canonicalization, so such by-products are {e not}
+          readable there — attach domain-local harvesting only for
+          sequential runs *)
   canon_fallbacks : unit -> int;
       (** read at the end of the search: how many canonicalizations gave
           up on exactness and returned a merely injective key (sound, but
@@ -55,19 +56,6 @@ type limit =
           SIGINT/SIGTERM handler); work done so far is reported — and,
           with a checkpoint control attached, persisted *)
 
-type strategy = Bfs | Dfs
-(** Search order.  Both enumerate the same reachable set; BFS yields
-    shortest counterexamples, DFS uses less frontier memory. *)
-
-type visited_mode =
-  | Exact  (** hash table of full encodings: exact counts *)
-  | Bitstate of int
-      (** supertrace/bitstate hashing with a [2^bits]-bit table and two
-          independent hash functions, as SPIN's [-DBITSTATE] (Holzmann
-          1991, which the paper used).  Collisions silently prune states:
-          the visit count is a lower bound, using [2^bits / 8] bytes
-          regardless of the state space. *)
-
 type 's outcome =
   | Complete  (** the full reachable state space was enumerated *)
   | Limit of limit  (** exploration stopped at a resource cap *)
@@ -88,11 +76,11 @@ type ('s, 'l) stats = {
           or out-of-core store, [raw_bytes /. mem_bytes] is the
           compression ratio *)
   peak_frontier : int;
-      (** most states simultaneously awaiting expansion (BFS: queue
-          watermark / largest level; DFS: stack watermark) *)
+      (** most states simultaneously awaiting expansion ({!run}: queue
+          watermark; {!par_run}: largest level) *)
   max_depth : int;
-      (** deepest discovery (BFS: eccentricity of the initial state over
-          the explored region; DFS: longest stack path reached) *)
+      (** deepest discovery: the eccentricity of the initial state over
+          the explored region *)
   canon_fallbacks : int;
       (** canonicalizations that fell back to a non-canonical key (0
           without a [canon] hook); a non-zero value means the symmetry
@@ -151,9 +139,18 @@ type 's ckpt = {
           frontier is partial and the previous checkpoint stands) *)
 }
 
+val trace_prov :
+  engine:string ->
+  trace:bool ->
+  Vstore.Prov.t option ->
+  's ckpt option ->
+  Vstore.Prov.t option
+(** The provenance table a run records into: the caller's [prov], else
+    an internal resident table when [trace] is on, else none.
+    @raise Invalid_argument for a traced resume without [prov] (its ids
+    continue from the checkpoint).  Shared with {!Mpx}. *)
+
 val run :
-  ?strategy:strategy ->
-  ?visited:visited_mode ->
   ?store:Vstore.kind ->
   ?max_states:int ->
   ?max_mem_bytes:int ->
@@ -169,14 +166,13 @@ val run :
   ?ckpt:'s ckpt ->
   ('s, 'l) system ->
   ('s, 'l) stats
-(** Search from [init] (default: breadth-first with an exact in-memory
-    visited set).  [interrupt] (polled before every expansion) asks the
-    engine to stop with [Limit L_interrupt]; [ckpt] (BFS only) attaches
-    the checkpoint control described above.  [store] (default {!Vstore.Mem}) selects the
-    visited-set representation — collapse-compressed or out-of-core, see
-    {!Vstore}; all kinds produce identical state and transition counts,
-    only memory use differs.  A [Bitstate] visited mode takes precedence
-    over [store].  Invariants are checked on every state as it is discovered
+(** Breadth-first search from [init].  [interrupt] (polled before every
+    expansion) asks the engine to stop with [Limit L_interrupt]; [ckpt]
+    attaches the checkpoint control described above.  [store] (default
+    {!Vstore.Mem}) selects the visited-set representation —
+    collapse-compressed or out-of-core, see {!Vstore}; all kinds produce
+    identical state and transition counts, only memory use differs.
+    Invariants are checked on every state as it is discovered
     (including the initial one); the first violation stops the search.
     [check_deadlock] (default [false]) reports a state with no
     successors.  [trace] (default [false]) records each state's
@@ -187,14 +183,13 @@ val run :
     checkpoint's restored [prov] (raises [Invalid_argument] otherwise).  [on_progress] (default:
     none, zero overhead beyond one closure call per discovery) is invoked
     every [progress_every] (default 8192) discoveries with a live
-    {!Ccr_obs.Progress.sample}.  [on_level] (BFS only) fires once per
+    {!Ccr_obs.Progress.sample}.  [on_level] fires once per
     completed BFS level with its depth and the cumulative state count —
     the same sequence, in the same order, as {!par_run} and {!Mpx.run}
     emit, so journals built from it are parallelism-independent. *)
 
 val par_run :
   ?jobs:int ->
-  ?visited:visited_mode ->
   ?store:Vstore.kind ->
   ?max_states:int ->
   ?max_mem_bytes:int ->
@@ -212,42 +207,37 @@ val par_run :
 (** Parallel breadth-first search over [jobs] OCaml 5 domains (default:
     [Domain.recommended_domain_count ()]).  The visited set is sharded
     across independently locked stores, routed by a seeded hash of the
-    encoded key; the frontier is drained level by level in batches, with
-    per-domain successor buffers merged at level boundaries, so BFS level
-    order is preserved.  Requires [succ] and [encode] to be safe to call
+    encoded key; the frontier is drained level by level in batches.
+    Requires [succ], [encode] and the invariants to be safe to call
     concurrently from several domains (true of all systems in this
     repository: they only read the compiled program).
 
-    Determinism: for runs that end in [Complete], [states] and
-    [transitions] equal the sequential {!run}'s exactly (with the [Exact]
-    visited set; [Bitstate] counts are approximate in both engines, with
-    different collision patterns).  With a [canon] hook this extends to
-    the {e representative} kept per canonical key: workers buffer every
-    successor tagged with its discovery position and the leader replays
-    the buffers in sequential BFS order at the level boundary, so the
-    quotient explored is identical at every job count even for protocols
-    that are symmetric only up to dead-variable resets.  When a violation or deadlock is found,
-    the engine falls back to a sequential re-run to report the canonical
-    first event and — with [~trace:true] — its shortest counterexample,
-    so the returned outcome is deterministic too; [time_s] then covers
-    both phases.
+    Determinism: [par_run] reports what {!run} reports, at any job
+    count.  Each successor is offered to its shard tagged with its
+    discovery position (parent frontier index, successor ordinal); per
+    key first seen in a level the shard keeps the smallest tag and the
+    concrete state discovered under it — the candidate {!run} keeps, so
+    with a [canon] hook the quotient explored is identical even for
+    protocols symmetric only up to dead-variable resets.  At the level
+    boundary each domain sorts the entries of the shards it owns and
+    checks the invariants on them; the leader merges the sorted lists,
+    assigns ids in tag order (so [prov] ids are dense in sequential
+    discovery order), and picks the sequential-first violation or
+    deadlock.  From that event's tag and the level's per-index successor
+    counts it reports {!run}'s exact [states], [transitions] and
+    [max_depth], and [~trace:true] rebuilds the counterexample with
+    {!replay_path} from [prov] (an internal resident table when none is
+    given), so outcome, counts and trace all equal {!run}'s.  [on_level]
+    fires in the leader at each completed level, emitting exactly the
+    sequential engine's sequence.
 
-    [prov] changes that last part: recording provenance forces the
-    ordered leader-replay path (ids dense in sequential BFS order, at any
-    job count), the leader selects the sequential-first event
-    deterministically at the level boundary, and the counterexample is an
-    O(depth) {!replay_path} chain walk — the fallback re-exploration is
-    gone.  The event's level still completes before the engine stops, so
-    on Violation/Deadlock outcomes [states]/[max_depth] may exceed the
-    sequential engine's (the {e trace} is identical).  [on_level] fires
-    in the leader at each completed level, emitting exactly the
-    sequential engine's sequence.  Resource caps are applied at BFS-level granularity:
-    a [Limit] outcome may report slightly more than [max_states].
-    [on_progress] is invoked by the leader domain at every BFS level
-    boundary; its sample's [shard_balance] reports how evenly the visited
-    set spreads over the 64 shards.  [peak_frontier] here is the largest
-    BFS level (the level-synchronous frontier watermark), and [max_depth]
-    equals the sequential engine's on complete runs. *)
+    Resource caps are applied at BFS-level granularity: a [Limit]
+    outcome may report slightly more than [max_states] (an event past
+    [max_states] is reported as the cap, as {!run} would).  [on_progress]
+    is invoked by the leader domain at every BFS level boundary; its
+    sample's [shard_balance] reports how evenly the visited set spreads
+    over the 64 shards.  [peak_frontier] here is the largest BFS level
+    (the level-synchronous frontier watermark). *)
 
 val replay_path :
   Vstore.Prov.t -> ('s, 'l) system -> int -> ('l option * 's) list
@@ -257,11 +247,5 @@ val replay_path :
     step (the recorded ordinal pins the concrete transition).  The result
     has the same shape and contents as {!stats.trace}.  Valid for any
     [prov] filled by {!run}/{!par_run}/{!Mpx.run} over the same system. *)
-
-val bitstate_positions : bits:int -> string -> int * int
-(** The two bit-table positions a key occupies under {!Bitstate}
-    hashing (seeded hashes 0 and 1 of the key, masked to [2^bits]).
-    Exposed so tests can pin the independence of the two positions.
-    (Alias of {!Vstore.bitstate_positions}.) *)
 
 val pp_outcome : 's Fmt.t -> 's outcome Fmt.t

@@ -23,10 +23,11 @@
       loop.
 
    Ownership partitions the key space, so freshness decisions are local
-   to one worker and no cross-process race can affect them.  On a
-   violation or deadlock the parent finishes the level, stops the
-   workers, and falls back to a sequential re-run for the canonical
-   first event and trace — the same discipline as [Explore.par_run].
+   to one worker and no cross-process race can affect them.  Each worker
+   reports its tag-first invariant violation and deadlock; the parent
+   picks the sequential-first event among them, reports the sequential
+   engine's exact counts at that event, and rebuilds the counterexample
+   from its provenance table — the same discipline as [Explore.par_run].
 
    The parent is also a supervisor.  It keeps, per worker, an
    append-only log of the keys that merged fresh into that worker's
@@ -45,8 +46,8 @@
    [ckpt] costs no extra protocol messages. *)
 
 (* Key-to-owner routing uses its own hash seed, independent of the exact
-   store probe hash, the bitstate positions (0, 1), the in-process shard
-   router (2) and the disk index (3). *)
+   store probe hash (0), the in-process shard router (2) and the disk
+   index (3). *)
 let owner_seed = 4
 
 type 's to_worker =
@@ -64,10 +65,9 @@ type 's to_worker =
           recovery and checkpoint-resume *)
 
 (* Events carry their discovery tag so the parent can pick the
-   sequential-first one under provenance: a violation is tagged with the
-   (parent gidx, successor ordinal) it was discovered from, a deadlock
-   with the deadlocked state's own gidx.  Without provenance the tags are
-   ignored and the sequential fallback still decides. *)
+   sequential-first one: a violation is tagged with the (parent gidx,
+   successor ordinal) it was discovered from, a deadlock with the
+   deadlocked state's own gidx. *)
 type event = Ev_violation of string * int * int | Ev_deadlock of int
 
 type fresh_report = {
@@ -304,21 +304,6 @@ let worker_main ~wid ~ic ~oc ~jobs ~key_of ~on_fresh ~canon_fallbacks ~succ
       expand_and_report frontier
   done
 
-let merge_stats ~t0 ~outcome ~n_states ~transitions ~mem ~raw ~peak_frontier
-    ~max_depth ~fallbacks =
-  {
-    Explore.outcome;
-    states = n_states;
-    transitions;
-    time_s = Unix.gettimeofday () -. t0;
-    mem_bytes = mem;
-    raw_bytes = raw;
-    peak_frontier;
-    max_depth;
-    canon_fallbacks = fallbacks;
-    trace = None;
-  }
-
 exception Worker_died of int
 exception Degrade
 
@@ -341,6 +326,7 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
     let t0 = Unix.gettimeofday () in
     let deadline = Option.map (fun cap -> t0 +. cap) max_time_s in
     let key_of, on_fresh, canon_fallbacks = Explore.key_fns sys in
+    let prov = Explore.trace_prov ~engine:"Mpx.run" ~trace prov ckpt in
     let resume =
       match ckpt with
       | Some { Explore.ck_resume = Some r; _ } -> Some r
@@ -603,23 +589,26 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
     let peak_frontier = ref 0 in
     let depth = ref 0 in
     let max_depth = ref 0 in
-    let event = ref None in
     let limit = ref None in
     let worker_partial = ref false in
-    let prov_mode = prov <> None in
     let prov_record ~id ~parent ~ord =
       match prov with
       | Some p -> Vstore.Prov.record p ~id ~parent ~ord
       | None -> ()
     in
-    (* With provenance the parent selects the sequential-first event
-       itself: violations of the level being merged arrive in this
-       iteration's W_fresh, deadlocks of the previous level arrive in the
-       previous iteration's W_expanded — both index the same id range, so
-       they are compared here before stopping.  [`V (name, id)] /
-       [`D id]. *)
-    let prov_event = ref None in
+    (* The parent selects the sequential-first event itself: violations
+       of the level being merged arrive in this iteration's W_fresh,
+       deadlocks of the previous level arrive in the previous iteration's
+       W_expanded — both index the same id range, so they are compared
+       here before stopping.  [event] holds the outcome and the bad
+       state's id. *)
+    let event = ref None in
     let pending_dead = ref max_int in
+    (* the frontier slices of the last expansion round (a deadlocked
+       state is looked up there by gidx), and the transition count before
+       that round *)
+    let expanded = ref [||] in
+    let trans_base = ref 0 in
     let gauges =
       match metrics with
       | None -> None
@@ -674,15 +663,15 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
        just expanded), across all owners *)
     let cands_all = ref [] in
     (* collect one expansion round into parent state *)
-    let route_expanded reports =
+    let route_expanded slices reports =
+      expanded := slices;
+      trans_base := !transitions;
       Array.iter
         (fun xr ->
           transitions := !transitions + xr.trans;
           (match xr.x_event with
-          | Some (Ev_deadlock g) when prov_mode ->
-            if g < !pending_dead then pending_dead := g
-          | Some e when !event = None && not prov_mode -> event := Some e
-          | _ -> ());
+          | Some (Ev_deadlock g) -> if g < !pending_dead then pending_dead := g
+          | Some (Ev_violation _) | None -> ());
           if xr.x_timed_out then worker_partial := true;
           cands_all := List.rev_append xr.succs !cands_all)
         reports
@@ -724,11 +713,11 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
             let o = owner w (key_of st) in
             slices.(o) <- (id, st) :: slices.(o))
           r.Explore.r_frontier;
-        route_expanded
+        let slices = Array.map (fun l -> Array.of_list (List.rev l)) slices in
+        route_expanded slices
           (collect_expanded ~level:d0
              ~assignments:(Array.make w [||])
-             ~slices:(Array.map (fun l -> Array.of_list (List.rev l)) slices)
-             ~via_assign:(Array.make w false))
+             ~slices ~via_assign:(Array.make w false))
       end);
     let looping = ref (!limit = None) in
     let assignments = ref [||] in
@@ -748,14 +737,13 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
           !worker_fallbacks.(wk) <- fr.fallbacks;
           !worker_expand_s.(wk) <- fr.expand_s;
           match fr.f_event with
-          | Some (Ev_violation (name, g, o)) when prov_mode -> (
+          | Some (Ev_violation (name, g, o)) -> (
             (* each worker reports its (g, o)-minimal violation; keep
                the global minimum *)
             match !best_viol with
             | Some (g', o', _) when (g', o') <= (g, o) -> ()
             | _ -> best_viol := Some (g, o, name))
-          | Some e when !event = None && not prov_mode -> event := Some e
-          | _ -> ())
+          | Some (Ev_deadlock _) | None -> ())
         freshes;
       (* phase 3: merge the tag streams (each already sorted) and assign
          global indices by overall rank — the sequential discovery order *)
@@ -777,6 +765,46 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
         (fun (g1, o1, _) (g2, o2, _) ->
           if g1 <> g2 then compare g1 g2 else compare o1 o2)
         merged;
+      (* deterministic event selection: compare this level's first
+         violation with the previous level's first deadlock — the
+         sequential engine hits a deadlock at gidx [d] before any
+         discovery from [d], so the deadlock wins iff [d <= g] *)
+      let d = !pending_dead in
+      pending_dead := max_int;
+      let ev =
+        if !worker_partial then None
+        else
+          match !best_viol with
+          | Some (g, o, name) when d > g -> Some (`V (g, o, name))
+          | _ when d < max_int -> Some (`D d)
+          | _ -> None
+      in
+      (* The sequential engine stops right after discovering a violating
+         state, or before any discovery from a deadlocked one: [m] of the
+         level's states are then discovered.  It also stops at exactly
+         [max_states], so an event past the cap is never reached. *)
+      let before ev (g', o') =
+        match ev with
+        | `V (g, o, _) -> (g', o') <= (g, o)
+        | `D d -> g' < d
+      in
+      let ev, m =
+        match ev with
+        | None -> (None, total_fresh)
+        | Some ev -> (
+          let m =
+            Array.fold_left
+              (fun acc (g, o, _) -> if before ev (g, o) then acc + 1 else acc)
+              0 merged
+          in
+          (* the state count that would have hit the cap first *)
+          let capped_at =
+            match ev with `V _ -> !n_states + m | `D _ -> !n_states + m + 1
+          in
+          match max_states with
+          | Some cap when capped_at > cap -> (None, total_fresh)
+          | _ -> (Some ev, m))
+      in
       assignments :=
         Array.map (fun tags -> Array.make (Array.length tags) 0) worker_tags;
       Array.iteri
@@ -785,7 +813,8 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
           !assignments.(src lsr 32).(src land 0xffffffff) <- id;
           (* rank order is the sequential discovery order, so provenance
              ids recorded here are dense and engine-independent *)
-          prov_record ~id ~parent:g ~ord:(if id = 0 then -1 else o))
+          if rank < m then
+            prov_record ~id ~parent:g ~ord:(if id = 0 then -1 else o))
         merged;
       (* recover each worker's fresh (key, state)s by matching its sorted
          candidates against the returned tags — tags are unique and both
@@ -822,43 +851,52 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
         (fun wk fc ->
           Array.iter (fun (_, _, key, _) -> Klog.add !logs.(wk) key) fc)
         !fresh_cands;
-      (* deterministic event selection under provenance: compare this
-         level's first violation with the previous level's first deadlock
-         — the sequential engine hits a deadlock at gidx [d] before any
-         discovery from [d], so the deadlock wins iff [d <= g] *)
-      (if prov_mode && !prov_event = None && not !worker_partial then begin
-         let d = !pending_dead in
-         pending_dead := max_int;
-         match !best_viol with
-         | Some (g, o, name) when d = max_int || d > g ->
-           let rank = ref (-1) in
-           Array.iteri
-             (fun r (g', o', _) ->
-               if !rank < 0 && g' = g && o' = o then rank := r)
-             merged;
-           prov_event := Some (`V (name, !n_states + !rank))
-         | _ when d < max_int -> prov_event := Some (`D d)
-         | _ -> ()
-       end);
+      (match ev with
+      | None -> ()
+      | Some ev ->
+        let level_trans =
+          (* the initial state is discovered, not reached by a transition *)
+          if !n_states = 0 then 0
+          else
+            List.fold_left
+              (fun acc (g, o, _, _) -> if before ev (g, o) then acc + 1 else acc)
+              0 level_cands
+        in
+        transitions := !trans_base + level_trans;
+        let find_in slices p =
+          Option.get (Array.find_map (Array.find_opt p) slices)
+        in
+        event :=
+          Some
+            (match ev with
+            | `V (g, o, name) ->
+              let _, _, _, st =
+                find_in !fresh_cands (fun (g', o', _, _) -> g' = g && o' = o)
+              in
+              ( Explore.Violation { invariant = name; state = st },
+                !n_states + m - 1 )
+            | `D d ->
+              let _, st = find_in !expanded (fun (g, _) -> g = d) in
+              (Explore.Deadlock st, d)));
       (* level boundary: previous level fully merged (depth and cumulative
          count only — deterministic across engines and parallelism) *)
       (match on_level with
-      | Some f when total_fresh > 0 && !n_states > 0 ->
-        f ~depth:!depth ~states:!n_states
+      | Some f when m > 0 && !n_states > 0 -> f ~depth:!depth ~states:!n_states
       | _ -> ());
-      n_states := !n_states + total_fresh;
-      if total_fresh > !peak_frontier then peak_frontier := total_fresh;
-      if total_fresh > 0 && !n_states > 1 then begin
+      n_states := !n_states + m;
+      if m > !peak_frontier then peak_frontier := m;
+      if m > 0 && !n_states > 1 then begin
         incr depth;
         max_depth := !depth
       end;
-      emit_progress ~frontier:total_fresh;
+      emit_progress ~frontier:m;
       update_gauges ();
       (match interrupt with
       | Some f when f () -> limit := Some Explore.L_interrupt
       | _ -> ());
       (* caps, at level granularity as in [Explore.par_run] *)
       (match (max_states, max_mem_bytes) with
+      | _ when !event <> None -> ()
       | Some cap, _ when !n_states >= cap -> limit := Some Explore.L_states
       | _, Some cap when Array.fold_left ( + ) 0 !worker_mem >= cap ->
         limit := Some Explore.L_memory
@@ -867,17 +905,13 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
       | Some d when Unix.gettimeofday () > d -> limit := Some Explore.L_time
       | _ -> ());
       if !worker_partial then limit := Some Explore.L_time;
-      let stop =
-        total_fresh = 0 || !limit <> None || !event <> None
-        || !prov_event <> None
-      in
+      let stop = m = 0 || !limit <> None || !event <> None in
       (* checkpoint the boundary — unless the merged level is partial
          (a worker hit the deadline mid-expansion: the previous
          checkpoint stands) or the run ends in a definitive verdict *)
       (match ckpt with
       | Some c
-        when total_fresh > 0 && (not !worker_partial) && !event = None
-             && !prov_event = None ->
+        when m > 0 && (not !worker_partial) && !event = None ->
         let base = !n_states - total_fresh in
         let fc = !fresh_cands and asg = !assignments in
         c.Explore.ck_save
@@ -916,55 +950,34 @@ let run ?(workers = 2) ?(jobs = 1) ?(store = Vstore.Mem) ?max_states
                 (fun i (_, _, _, st) -> (!assignments.(wk).(i), st))
                 !fresh_cands.(wk))
         in
-        route_expanded
+        route_expanded slices
           (collect_expanded ~level:!depth ~assignments:!assignments ~slices
              ~via_assign:(Array.make w true))
       end
     done;
-    match (!prov_event, !event) with
-    | Some pe, _ ->
-      (* the parent holds the provenance table and [sys]: replay the
-         chain to the selected event's id — no re-exploration *)
-      let p = match prov with Some p -> p | None -> assert false in
-      let id = match pe with `V (_, id) | `D id -> id in
-      let path = Explore.replay_path p sys id in
-      let bad_state =
-        match List.rev path with
-        | (_, st) :: _ -> st
-        | [] -> sys.Explore.init
-      in
-      let outcome =
-        match pe with
-        | `V (name, _) ->
-          Explore.Violation { invariant = name; state = bad_state }
-        | `D _ -> Explore.Deadlock bad_state
-      in
-      {
-        (merge_stats ~t0 ~outcome ~n_states:!n_states
-           ~transitions:!transitions
-           ~mem:(Array.fold_left ( + ) 0 !worker_mem)
-           ~raw:(Array.fold_left ( + ) 0 !worker_raw)
-           ~peak_frontier:!peak_frontier ~max_depth:!max_depth
-           ~fallbacks:(Array.fold_left ( + ) 0 !worker_fallbacks))
-        with
-        Explore.trace = (if trace then Some path else None);
-      }
-    | None, Some _ ->
-      (* deterministic event + trace: sequential fallback, as par_run *)
-      let r =
-        Explore.run ~strategy:Explore.Bfs ~store ?max_states ?max_mem_bytes
-          ?max_time_s ~check_deadlock ~trace ~invariants ?on_progress sys
-      in
-      { r with Explore.time_s = Unix.gettimeofday () -. t0 }
-    | None, None ->
-      merge_stats ~t0
-        ~outcome:
-          (match !limit with
+    let outcome, trace_path =
+      match (!event, prov) with
+      | Some (o, bad_id), Some p when trace ->
+        (* the parent holds the provenance table and [sys]: replay the
+           chain to the selected event's id — no re-exploration *)
+        (o, Some (Explore.replay_path p sys bad_id))
+      | Some (o, _), _ -> (o, None)
+      | None, _ ->
+        ( (match !limit with
           | Some l -> Explore.Limit l
-          | None -> Explore.Complete)
-        ~n_states:!n_states ~transitions:!transitions
-        ~mem:(Array.fold_left ( + ) 0 !worker_mem)
-        ~raw:(Array.fold_left ( + ) 0 !worker_raw)
-        ~peak_frontier:!peak_frontier ~max_depth:!max_depth
-        ~fallbacks:(Array.fold_left ( + ) 0 !worker_fallbacks)
+          | None -> Explore.Complete),
+          None )
+    in
+    {
+      Explore.outcome;
+      states = !n_states;
+      transitions = !transitions;
+      time_s = Unix.gettimeofday () -. t0;
+      mem_bytes = Array.fold_left ( + ) 0 !worker_mem;
+      raw_bytes = Array.fold_left ( + ) 0 !worker_raw;
+      peak_frontier = !peak_frontier;
+      max_depth = !max_depth;
+      canon_fallbacks = Array.fold_left ( + ) 0 !worker_fallbacks;
+      trace = trace_path;
+    }
   end

@@ -8,8 +8,7 @@
     ownership partitions keys and the parent assigns global discovery
     indices by sequential-BFS rank, [states] and [transitions] are
     byte-identical to {!Explore.run} and {!Explore.par_run} at every
-    worker and job count (with the default exact stores; bitstate is not
-    offered here).
+    worker and job count.
 
     Use it when one process's heap is the bottleneck: each worker holds
     [1/workers] of the visited set, and with [--store collapse] or
@@ -57,16 +56,14 @@ val run :
     in-process engines, forwarding every option including [interrupt]
     and [ckpt]) of [jobs] domains each (default 1).  Resource caps are
     applied at BFS-level granularity, as in {!Explore.par_run};
-    [mem_bytes]/[raw_bytes] sum the per-worker stores.  On a violation or
-    deadlock the parent falls back to a sequential re-run for the
-    canonical first event and (with [~trace:true]) its shortest
-    counterexample — unless [prov] is given, in which case the parent
+    [mem_bytes]/[raw_bytes] sum the per-worker stores.  The parent
     records provenance at global-index assignment (ids dense in
-    sequential discovery order), selects the sequential-first event
-    deterministically, and rebuilds the counterexample with
-    {!Explore.replay_path}; as in {!Explore.par_run}, the event's level
-    still completes, so [states]/[max_depth] may then exceed the
-    sequential engine's while the trace is identical.  [metrics]
+    sequential discovery order) into [prov], or with [~trace:true] into
+    an internal resident table.  On a violation or deadlock it selects
+    the sequential-first event among the workers' reports, reports
+    {!Explore.run}'s exact [states], [transitions] and [max_depth] at
+    that event, and rebuilds the counterexample with
+    {!Explore.replay_path} — as {!Explore.par_run} does.  [metrics]
     (default: none) publishes per-worker [mpx.w<i>.states_per_s] and
     [mpx.w<i>.bytes_per_state] gauges through the obs layer.
     [on_progress] fires in the parent at every level boundary; its

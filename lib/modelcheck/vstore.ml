@@ -1,6 +1,6 @@
 (* Visited-state stores: the exact in-memory set, SPIN-style collapse
-   compression, an out-of-core append-file store, and bitstate hashing —
-   all behind one record so the exploration engines stay store-agnostic. *)
+   compression and an out-of-core append-file store — all behind one
+   record so the exploration engines stay store-agnostic. *)
 
 type t = {
   add : string -> bool;
@@ -118,49 +118,6 @@ let exact ?(init_slots = 4096) () =
     iter_keys =
       (fun f ->
         Array.iter (fun k -> if k != Strset.absent then f k) t.Strset.keys);
-  }
-
-(* ---- bitstate (supertrace) hashing -------------------------------------- *)
-
-(* Two independent hash positions, as SPIN's double bitstate.  Seeded
-   hashing keeps the second position allocation-free (the old scheme
-   hashed [key ^ "\x01"], building a fresh string per state). *)
-let bitstate_positions ~bits key =
-  let bits = max 10 (min 34 bits) in
-  let mask = (1 lsl bits) - 1 in
-  (Hashtbl.seeded_hash 0 key land mask, Hashtbl.seeded_hash 1 key land mask)
-
-let bitstate bits =
-  let bits = max 10 (min 34 bits) in
-  let nbits = 1 lsl bits in
-  let table = Bytes.make (nbits / 8) '\000' in
-  let get i =
-    Char.code (Bytes.get table (i lsr 3)) land (1 lsl (i land 7)) <> 0
-  in
-  let set i =
-    Bytes.set table (i lsr 3)
-      (Char.chr (Char.code (Bytes.get table (i lsr 3)) lor (1 lsl (i land 7))))
-  in
-  let marked = ref 0 in
-  {
-    add =
-      (fun key ->
-        let h1, h2 = bitstate_positions ~bits key in
-        let seen = get h1 && get h2 in
-        if not seen then begin
-          set h1;
-          set h2;
-          incr marked
-        end;
-        not seen);
-    mem_bytes = (fun () -> nbits / 8);
-    raw_bytes = (fun () -> nbits / 8);
-    count = (fun () -> !marked);
-    iter_keys =
-      (fun _ ->
-        (* bitstate drops the keys by construction; checkpointing refuses
-           the mode before ever asking *)
-        invalid_arg "Vstore.bitstate: keys are not recoverable");
   }
 
 (* ---- component interning (shared with the collapse store) --------------- *)
@@ -450,9 +407,9 @@ let collapse_shared ?(init_slots = 256) ~split n =
 
    Key bytes live in an unlinked temporary file (appended through a small
    tail buffer); RAM holds only an open-addressing index of packed
-   (offset, length) words plus the key hashes.  Unlike bitstate hashing
-   this is exact: a hash hit is confirmed by reading the stored key back
-   and comparing bytes, so counts equal the in-memory store's. *)
+   (offset, length) words plus the key hashes.  It is exact: a hash hit
+   is confirmed by reading the stored key back and comparing bytes, so
+   counts equal the in-memory store's. *)
 module Diskset = struct
   (* Index slot layout, one OCaml int per slot:
        0                              — empty

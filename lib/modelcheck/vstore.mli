@@ -16,9 +16,9 @@
       {!Mem}'s.
     - {!Disk}: out-of-core.  Key bytes live in an unlinked temporary
       file; RAM holds a one-word-per-slot (offset, hash-tag, length)
-      index.  A tag hit is confirmed by reading the stored key back, so —
-      unlike bitstate hashing — counts stay exact while resident memory
-      drops to ~8 bytes per slot.
+      index.  A tag hit is confirmed by reading the stored key back, so
+      counts stay exact while resident memory drops to ~8 bytes per
+      slot.
 
     All stores are single-threaded; the parallel engine wraps one store
     per shard behind its own mutex. *)
@@ -38,9 +38,7 @@ type t = {
   iter_keys : (string -> unit) -> unit;
       (** visit every stored key — in insertion order for the collapse
           and disk stores, in (deterministic) table order for the exact
-          store — so serialization of a given run is reproducible.
-          @raise Invalid_argument for {!bitstate}, which drops the keys
-          by construction. *)
+          store — so serialization of a given run is reproducible. *)
 }
 
 type kind = Mem | Collapse of (string -> int array) | Disk
@@ -73,18 +71,6 @@ val collapse_shared :
     by the shard count.  Each store's tuple set stays private (callers
     serialize per-store access, e.g. with per-shard mutexes); only the
     first store's [mem_bytes] counts the shared tables. *)
-
-val bitstate : int -> t
-(** Supertrace/bitstate hashing with a [2^bits]-bit table and two
-    independent hash positions, as SPIN's [-DBITSTATE].  Collisions
-    silently prune states: [count] is a lower bound.  Not a [kind]: the
-    engines select it through their [visited] mode, which takes
-    precedence over [--store]. *)
-
-val bitstate_positions : bits:int -> string -> int * int
-(** The two bit-table positions a key occupies under {!bitstate} (seeded
-    hashes 0 and 1, masked to [2^bits]); exposed so tests can pin the
-    independence of the two positions. *)
 
 val per_state_overhead : int
 (** The fixed per-state overhead {!t.raw_bytes} adds to the key bytes. *)

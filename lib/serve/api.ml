@@ -133,6 +133,8 @@ type verdict = {
   v_trace : string list;
   v_msc : string option;
   v_liveness : string option;
+  v_state : string option;
+  v_truncated : bool;
 }
 
 type meta = {
@@ -172,12 +174,23 @@ let assemble ~protocol ~level ~sym ~lbl ~pp_state ?msc
     | Explore.Complete -> "complete, invariants hold"
     | o -> Fmt.str "%a" (Explore.pp_outcome pp_state) o
   in
-  let trace, msc_str =
+  let trace =
     match r.Explore.trace with
     | Some path when List.length path > 1 ->
-      ( List.map (fun (_, st) -> Fmt.str "%a" pp_state st) path,
-        Option.map (fun render -> render (List.filter_map fst path)) msc )
-    | _ -> ([], None)
+      List.map (fun (_, st) -> Fmt.str "%a" pp_state st) path
+    | _ -> []
+  in
+  let msc_str =
+    match (r.Explore.trace, msc) with
+    | Some (_ :: _ as path), Some render ->
+      Some (render (List.filter_map fst path))
+    | _ -> None
+  in
+  let state =
+    match r.Explore.outcome with
+    | Explore.Violation { state; _ } | Explore.Deadlock state ->
+      Some (Fmt.str "%a" pp_state state)
+    | Explore.Complete | Explore.Limit _ -> None
   in
   ( {
       v_protocol = protocol;
@@ -197,6 +210,8 @@ let assemble ~protocol ~level ~sym ~lbl ~pp_state ?msc
       v_trace = trace;
       v_msc = msc_str;
       v_liveness = None;
+      v_state = state;
+      v_truncated = false;
     },
     {
       m_time_s = r.Explore.time_s;
@@ -376,11 +391,19 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
             ~split:(Some (Injected.split_key prog))
             ~invariants sys
         in
+        (* the flow chart shows the protocol's messages; injected
+           faults appear only in the rule path *)
+        let msc labels =
+          Ccr_viz.Msc.render prog
+            (List.filter_map
+               (function Injected.Step al -> Some al | Injected.Fault _ -> None)
+               labels)
+        in
         let v, m =
           assemble ~protocol ~level ~sym:false
             ~lbl:(Fmt.str "%a" Injected.pp_label)
             ~pp_state:(Injected.pp_fstate prog)
-            r
+            ~msc r
         in
         (* Safety held and no deadlock: the remaining question is
            liveness — a dropped message can leave a remote stuck in its
@@ -399,6 +422,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                   Some
                     "liveness: not assessed (graph truncated; raise \
                      --max-states)";
+                v_truncated = true;
               }
             else begin
               let progress_of pred l =
@@ -433,6 +457,11 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                 (* one fresh formatter per line: each [%a] renderer must
                    open its boxes at column 0, exactly as the CLI's
                    per-line [Fmt.pf ... "@."] calls did *)
+                let stuck =
+                  match List.rev path with
+                  | (_, st) :: _ -> Some (Fmt.str "%a" (Injected.pp_fstate prog) st)
+                  | [] -> None
+                in
                 let lines =
                   [
                     Fmt.str
@@ -449,13 +478,9 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                           l)
                       path
                   @
-                  match List.rev path with
-                  | (_, st) :: _ ->
-                    [
-                      "stuck state:";
-                      Fmt.str "%a" (Injected.pp_fstate prog) st;
-                    ]
-                  | [] -> []
+                  match stuck with
+                  | Some st -> [ "stuck state:"; st ]
+                  | None -> []
                 in
                 {
                   v with
@@ -470,7 +495,9 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                              (fun l -> Fmt.str "%a" Injected.pp_label l)
                              l)
                          path);
+                  v_msc = Some (msc (List.filter_map fst path));
                   v_liveness = Some (String.concat "\n" lines);
+                  v_state = stuck;
                 }
             end
           end
@@ -712,6 +739,8 @@ let verdict_to_json v =
       ("trace", J.List (List.map (fun s -> J.Str s) v.v_trace));
       ("msc", opt_str v.v_msc);
       ("liveness", opt_str v.v_liveness);
+      ("state", opt_str v.v_state);
+      ("truncated", J.Bool v.v_truncated);
     ]
 
 let verdict_of_json json =
@@ -751,6 +780,8 @@ let verdict_of_json json =
           v_trace = Option.value ~default:[] (str_list "trace");
           v_msc = str "msc";
           v_liveness = str "liveness";
+          v_state = str "state";
+          v_truncated = Option.value ~default:false (bool "truncated");
         }
     | _ -> Error "verdict missing protocol/outcome/explored fields")
   | _ -> Error "verdict must be a JSON object"

@@ -92,8 +92,16 @@ type verdict = {
           the engine produced no trace at all *)
   v_outcome_line : string;  (** rendered text after "outcome: " *)
   v_trace : string list;  (** rendered counterexample states *)
-  v_msc : string option;  (** rendered message-sequence chart *)
+  v_msc : string option;
+      (** rendered message-sequence chart of the counterexample, or of the
+          starvation witness; async level only, injected faults left out *)
   v_liveness : string option;  (** rendered liveness block, async+faults *)
+  v_state : string option;
+      (** rendered state at the event: the violating or deadlocked state,
+          or the starvation witness's stuck state *)
+  v_truncated : bool;
+      (** liveness was not assessed: the reachability graph hit the state
+          cap (async+faults only) *)
 }
 
 type meta = {

@@ -205,7 +205,7 @@ let submit t fd body =
         else if cfg.Api.k < 2 || cfg.Api.k > 64 then
           bad t fd "k out of range [2,64]"
         else begin
-          (* The daemon owns execution strategy: jobs always explore
+          (* The daemon decides how jobs execute: they always explore
              sequentially (deterministic traces, fork/domain-free), and
              per-job budgets are clamped to the service cap. *)
           let cfg =

@@ -54,10 +54,7 @@ let tests =
         in
         let r = Explore.run chain in
         checki "max_depth" 17 r.max_depth;
-        checki "peak_frontier" 1 r.peak_frontier;
-        let d = Explore.run ~strategy:Explore.Dfs chain in
-        checki "dfs max_depth" 17 d.max_depth;
-        checki "dfs peak_frontier" 1 d.peak_frontier);
+        checki "peak_frontier" 1 r.peak_frontier);
     case "on_progress fires with monotone counts" (fun () ->
         let samples = ref [] in
         let r =
@@ -189,75 +186,49 @@ let tests =
         check_progress (compile ~reqrep:false ~n:2 (Ccr_protocols.Migratory.system ()));
         check_progress (compile ~n:2 Ccr_protocols.Invalidate.system);
         check_progress (compile ~n:3 Ccr_protocols.Lock_server.system));
-    case "DFS enumerates the same reachable set as BFS" (fun () ->
-        List.iter
-          (fun sys ->
-            let bfs = Explore.run ~strategy:Explore.Bfs sys in
-            let dfs = Explore.run ~strategy:Explore.Dfs sys in
-            checki "states equal" bfs.states dfs.states;
-            checki "transitions equal" bfs.transitions dfs.transitions)
-          [ bits_system 6; counter_system ~limit:25 ];
-        let prog = compile ~n:2 (Ccr_protocols.Migratory.system ()) in
-        let bfs = Explore.run ~strategy:Explore.Bfs (async_system prog) in
-        let dfs = Explore.run ~strategy:Explore.Dfs (async_system prog) in
-        checki "protocol states equal" bfs.states dfs.states);
-    case "DFS finds violations too (possibly via longer traces)" (fun () ->
-        let r =
-          Explore.run ~strategy:Explore.Dfs ~trace:true
-            ~invariants:[ ("below7", fun s -> s < 7) ]
-            (counter_system ~limit:100)
-        in
-        match r.outcome with
-        | Explore.Violation { state; _ } -> checkb "found" true (state >= 7)
-        | _ -> Alcotest.fail "expected violation");
-    case "traces: internal table = explicit ~prov, BFS and DFS" (fun () ->
+    case "traces: internal table = explicit ~prov" (fun () ->
         (* a traced run without [~prov] records into its own table; the
            path it reports must be the one an explicit table yields, and
            a real run of the system ending at the reported state *)
         let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
         let asys = async_system prog in
         let check_same name sys ~key ~pp_label ~invariants ~check_deadlock =
-          List.iter
-            (fun (strategy, sname) ->
-              let name = name ^ " " ^ sname in
-              let run prov =
-                Explore.run ~strategy ~trace:true ?prov ~invariants
-                  ~check_deadlock sys
-              in
-              let internal = run None in
-              let explicit = run (Some (Ccr_modelcheck.Vstore.Prov.create ())) in
-              let bad =
-                match internal.outcome with
-                | Explore.Violation { state; _ } | Explore.Deadlock state -> state
-                | _ -> Alcotest.failf "%s: expected a violation or deadlock" name
-              in
-              let sig_of (r : _ Explore.stats) =
-                match r.trace with
-                | None -> Alcotest.failf "%s: expected a trace" name
-                | Some path ->
-                  List.map
-                    (fun (l, st) -> (Option.map (Fmt.str "%a" pp_label) l, key st))
-                    path
-              in
-              let path = sig_of internal in
-              checkb (name ^ ": same path") true (path = sig_of explicit);
-              checkb (name ^ ": starts at init") true
-                (List.hd path = (None, key sys.Explore.init));
-              checks (name ^ ": ends at the reported state") (key bad)
-                (snd (List.nth path (List.length path - 1)));
-              ignore
-                (List.fold_left
-                   (fun st (l, k) ->
-                     match
-                       List.find_opt
-                         (fun (l', st') ->
-                           Some (Fmt.str "%a" pp_label l') = l && key st' = k)
-                         (sys.Explore.succ st)
-                     with
-                     | Some (_, st') -> st'
-                     | None -> Alcotest.failf "%s: step to %S not enabled" name k)
-                   sys.Explore.init (List.tl path)))
-            [ (Explore.Bfs, "bfs"); (Explore.Dfs, "dfs") ]
+          let run prov =
+            Explore.run ~trace:true ?prov ~invariants ~check_deadlock sys
+          in
+          let internal = run None in
+          let explicit = run (Some (Ccr_modelcheck.Vstore.Prov.create ())) in
+          let bad =
+            match internal.outcome with
+            | Explore.Violation { state; _ } | Explore.Deadlock state -> state
+            | _ -> Alcotest.failf "%s: expected a violation or deadlock" name
+          in
+          let sig_of (r : _ Explore.stats) =
+            match r.trace with
+            | None -> Alcotest.failf "%s: expected a trace" name
+            | Some path ->
+              List.map
+                (fun (l, st) -> (Option.map (Fmt.str "%a" pp_label) l, key st))
+                path
+          in
+          let path = sig_of internal in
+          checkb (name ^ ": same path") true (path = sig_of explicit);
+          checkb (name ^ ": starts at init") true
+            (List.hd path = (None, key sys.Explore.init));
+          checks (name ^ ": ends at the reported state") (key bad)
+            (snd (List.nth path (List.length path - 1)));
+          ignore
+            (List.fold_left
+               (fun st (l, k) ->
+                 match
+                   List.find_opt
+                     (fun (l', st') ->
+                       Some (Fmt.str "%a" pp_label l') = l && key st' = k)
+                     (sys.Explore.succ st)
+                 with
+                 | Some (_, st') -> st'
+                 | None -> Alcotest.failf "%s: step to %S not enabled" name k)
+               sys.Explore.init (List.tl path))
         in
         check_same "migratory n=3 violation" asys ~key:Ccr_refine.Async.encode
           ~pp_label:Ccr_refine.Async.pp_label ~check_deadlock:false
@@ -266,29 +237,6 @@ let tests =
         check_same "counter deadlock" (counter_system ~limit:12)
           ~key:string_of_int ~pp_label:Fmt.string ~check_deadlock:true
           ~invariants:[]);
-    case "bitstate hashing is a sound under-approximation" (fun () ->
-        let exact = Explore.run (bits_system 10) in
-        checki "exact" 1024 exact.states;
-        (* a generous table: almost everything found *)
-        let big = Explore.run ~visited:(Explore.Bitstate 22) (bits_system 10) in
-        checkb "close to exact" true
-          (big.states <= exact.states && big.states > 900);
-        (* a tiny table: heavy pruning but bounded memory *)
-        let small =
-          Explore.run ~visited:(Explore.Bitstate 10) (bits_system 10)
-        in
-        checkb "undercounts" true (small.states <= exact.states);
-        checki "memory is the table size" 128 small.mem_bytes);
-    case "bitstate on a protocol approaches the exact count" (fun () ->
-        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
-        let exact = Explore.run (async_system prog) in
-        let bit =
-          Explore.run ~visited:(Explore.Bitstate 24) (async_system prog)
-        in
-        checkb "lower bound" true (bit.states <= exact.states);
-        checkb "within 2 percent" true
-          (float_of_int bit.states
-          >= 0.98 *. float_of_int exact.states));
     case "ag_implies_ef restricts the witnesses" (fun () ->
         let g = Graph.build (counter_system ~limit:6) in
         (* only even sinks count as 'from' states *)
@@ -328,25 +276,6 @@ let tests =
           (List.length
              (Graph.violates_ag_implies_ef g ~from:waiting
                 ~progress:completes_r0)));
-    case "bitstate hash positions are independent (h1 <> h2)" (fun () ->
-        (* regression for the seeded-hash scheme: the two bitstate
-           positions must stay distinct or double bitstate degenerates to
-           single-hash supertrace *)
-        let keys =
-          List.init 200 (fun i ->
-              Fmt.str "key-%d-%s" i (String.make (i mod 11) (Char.chr (65 + (i mod 26)))))
-        in
-        let distinct =
-          List.filter
-            (fun k ->
-              let h1, h2 = Explore.bitstate_positions ~bits:20 k in
-              checkb "h1 in range" true (h1 >= 0 && h1 < 1 lsl 20);
-              checkb "h2 in range" true (h2 >= 0 && h2 < 1 lsl 20);
-              h1 <> h2)
-            keys
-        in
-        (* all 200 sampled keys hash to two distinct positions *)
-        checki "all distinct" (List.length keys) (List.length distinct));
     case "time cap is consulted before every expansion" (fun () ->
         (* regression: with the old every-256-pops check, 256 slow succ
            calls (20 ms each) overshoot a 50 ms cap by ~5 s.  The per-pop

@@ -4,8 +4,9 @@
    counts are byte-identical to the sequential [Explore.run] at every
    worker and job count — ownership partitions the key space, so
    freshness is race-free, and the parent assigns global indices by
-   sequential-BFS rank.  Violations and deadlocks surface through the
-   same sequential fallback re-run as the in-process parallel engine. *)
+   sequential-BFS rank.  On a violation or deadlock the parent picks the
+   sequential-first event itself, so the event, the counts at it and the
+   counterexample equal [Explore.run]'s too. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
@@ -87,7 +88,7 @@ let tests =
           checkb "trace ends at the violation" true
             (snd (List.nth path (List.length path - 1)) >= 7)
         | None -> Alcotest.fail "expected a trace");
-    case "deadlock is detected via the sequential fallback" (fun () ->
+    case "deadlock is detected via the sequential-order merge" (fun () ->
         let r =
           Mpx.run ~workers:2 ~check_deadlock:true ~trace:true
             (counter_system ~limit:10)
@@ -95,13 +96,35 @@ let tests =
         match r.outcome with
         | Explore.Deadlock s -> checki "deadlock at limit" 10 s
         | _ -> Alcotest.fail "expected deadlock");
+    case "violations and deadlocks: counts and trace equal run's (w=2,3)"
+      (fun () ->
+        List.iter
+          (fun workers ->
+            let eng =
+              {
+                eng_name = Fmt.str "w=%d" workers;
+                explore =
+                  (fun ?prov ~on_level c ->
+                    Mpx.run ~workers ?prov ~on_level ~trace:true
+                      ~invariants:c.ev_invariants
+                      ~check_deadlock:c.ev_deadlock c.ev_sys);
+              }
+            in
+            List.iter (check_same_event eng) synthetic_event_cases;
+            List.iter (check_same_event eng) (protocol_event_cases ()))
+          [ 2; 3 ]);
+    case "an event past the state cap reports the cap, as run does"
+      (fun () ->
+        check_cap_around_event (fun ~check_deadlock ~invariants ~max_states ->
+            Mpx.run ~workers:2 ~check_deadlock ~invariants ~max_states
+              (counter_system ~limit:100)));
     case "state cap applies at level granularity" (fun () ->
         let r = Mpx.run ~workers:2 ~max_states:10 (bits_system 8) in
         (match r.outcome with
         | Explore.Limit Explore.L_states -> ()
         | _ -> Alcotest.fail "expected state cap");
         checkb "at least the cap" true (r.states >= 10));
-    case "prov counterexample matches the legacy fallback (workers=2)"
+    case "prov counterexample matches the sequential engine (workers=2)"
       (fun () ->
         let prog =
           (Option.get (Registry.find "migratory")).Registry.instantiate
@@ -123,9 +146,9 @@ let tests =
                 (Option.map (Fmt.str "%a" Async.pp_label) l, Async.encode st))
               path
         in
-        let legacy = Mpx.run ~workers:2 ~trace:true ~invariants sys in
-        checkb "legacy violates" true
-          (match legacy.Explore.outcome with
+        let seq = Explore.run ~trace:true ~invariants sys in
+        checkb "seq violates" true
+          (match seq.Explore.outcome with
           | Explore.Violation _ -> true
           | _ -> false);
         List.iter
@@ -133,9 +156,9 @@ let tests =
             let prov = Vstore.Prov.create ~kind () in
             let r = Mpx.run ~workers:2 ~prov ~trace:true ~invariants sys in
             checkb
-              (Vstore.Prov.pkind_name kind ^ ": trace matches fallback")
+              (Vstore.Prov.pkind_name kind ^ ": trace matches seq")
               true
-              (sig_of r = sig_of legacy))
+              (sig_of r = sig_of seq))
           [ Vstore.Prov.P_mem; Vstore.Prov.P_disk ]);
     case "journal is byte-identical to the sequential engine (workers=2)"
       (fun () ->

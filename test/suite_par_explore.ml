@@ -1,10 +1,10 @@
 (* Parallel/sequential equivalence of the exploration engines.
 
    The contract of [Explore.par_run] (DESIGN.md "Parallel exploration"):
-   for runs that complete, [states] and [transitions] equal the sequential
-   [Explore.run]'s exactly, for any number of domains; violations and
-   deadlocks are still detected, with the canonical counterexample coming
-   from the documented sequential fallback re-run. *)
+   it reports what the sequential [Explore.run] reports, for any number
+   of domains — [states], [transitions] and [max_depth] of complete runs,
+   and on a violation or deadlock the same event, the counts at that
+   event and the same counterexample. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
@@ -101,7 +101,7 @@ let tests =
             | Some path ->
               let final = snd (List.nth path (List.length path - 1)) in
               checkb "trace ends at the violation" true (final >= 7);
-              (* the fallback re-run is BFS: every prefix state holds *)
+              (* BFS order: every prefix state holds *)
               List.iteri
                 (fun i (_, s) ->
                   if i < List.length path - 1 then
@@ -131,7 +131,7 @@ let tests =
         match r.trace with
         | Some path -> checkb "trace nonempty" true (List.length path > 1)
         | None -> Alcotest.fail "expected a trace");
-    case "deadlock is detected via the sequential fallback" (fun () ->
+    case "deadlock is detected via the sequential-order merge" (fun () ->
         let r =
           Explore.par_run ~jobs:2 ~check_deadlock:true ~trace:true
             (counter_system ~limit:10)
@@ -144,6 +144,73 @@ let tests =
           checkb "path ends at 10" true
             (snd (List.nth path (List.length path - 1)) = 10)
         | None -> Alcotest.fail "expected a trace");
+    case "violations and deadlocks: counts and trace equal run's (j=1,2,4)"
+      (fun () ->
+        List.iter
+          (fun jobs ->
+            let eng =
+              {
+                eng_name = Fmt.str "j=%d" jobs;
+                explore =
+                  (fun ?prov ~on_level c ->
+                    Explore.par_run ~jobs ?prov ~on_level ~trace:true
+                      ~invariants:c.ev_invariants
+                      ~check_deadlock:c.ev_deadlock c.ev_sys);
+              }
+            in
+            List.iter (check_same_event eng) synthetic_event_cases;
+            List.iter (check_same_event eng) (protocol_event_cases ()))
+          jobs_list);
+    case "a violation found late by a smaller tag is still reported (j=2)"
+      (fun () ->
+        (* Level 1 is [1..41]; frontier indices 1 (state 2) and 40 (state
+           41) both lead to the violating state 99.  Index 1 sits in the
+           first 32-state batch and is slow to expand, so the other domain
+           offers 99 first (from index 40) and is still checking it when
+           index 1 offers the same key with the smaller tag.  The check
+           begun under the larger tag must still flag the entry. *)
+        let edges =
+          (0, List.init 41 (fun i -> i + 1)) :: [ (2, [ 99 ]); (41, [ 99 ]) ]
+        in
+        let base = table_system edges in
+        let sys =
+          {
+            base with
+            Explore.succ =
+              (fun s ->
+                if s = 2 then Unix.sleepf 0.02;
+                base.Explore.succ s);
+          }
+        in
+        let invariants =
+          [
+            ( "not-99",
+              fun s ->
+                if s = 99 then Unix.sleepf 0.1;
+                s <> 99 );
+          ]
+        in
+        check_same_event
+          {
+            eng_name = "j=2";
+            explore =
+              (fun ?prov ~on_level c ->
+                Explore.par_run ~jobs:2 ?prov ~on_level ~trace:true
+                  ~invariants:c.ev_invariants ~check_deadlock:c.ev_deadlock
+                  c.ev_sys);
+          }
+          {
+            ev_name = "late smaller tag";
+            ev_sys = sys;
+            ev_invariants = invariants;
+            ev_deadlock = false;
+            ev_key = string_of_int;
+          });
+    case "an event past the state cap reports the cap, as run does"
+      (fun () ->
+        check_cap_around_event (fun ~check_deadlock ~invariants ~max_states ->
+            Explore.par_run ~jobs:2 ~check_deadlock ~invariants ~max_states
+              (counter_system ~limit:100)));
     case "violation in the initial state, parallel" (fun () ->
         let r =
           Explore.par_run ~jobs:2 ~trace:true
@@ -191,17 +258,6 @@ let tests =
         let r = Explore.par_run ~jobs:2 (bits_system 8) in
         checki "largest level" 70 r.peak_frontier;
         checki "max_depth" 8 r.max_depth);
-    case "parallel bitstate is a sound under-approximation" (fun () ->
-        let exact = Explore.run (bits_system 10) in
-        let par =
-          Explore.par_run ~jobs:2 ~visited:(Explore.Bitstate 22)
-            (bits_system 10)
-        in
-        checkb "lower bound" true (par.states <= exact.states);
-        checkb "most states found" true (par.states > 900);
-        (* total table memory equals the sequential table's 2^22 bits,
-           spread over the shards *)
-        checki "table bytes" (1 lsl 22 / 8) par.mem_bytes);
   ]
 
 let suite = ("par_explore", tests)

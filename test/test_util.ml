@@ -145,6 +145,183 @@ let bits_system k =
       canon = None;
     }
 
+(* ---- cross-engine event equality ---------------------------------------
+
+   On a violation or deadlock, [Explore.par_run] and [Mpx.run] report what
+   [Explore.run] reports: the outcome and its state, [states],
+   [transitions] and [max_depth] at the event, the counterexample and the
+   [on_level] sequence — with or without a caller-supplied provenance
+   table. *)
+
+type ('s, 'l) event_case = {
+  ev_name : string;
+  ev_sys : ('s, 'l) Ccr_modelcheck.Explore.system;
+  ev_invariants : (string * ('s -> bool)) list;
+  ev_deadlock : bool;
+  ev_key : 's -> string;
+}
+
+type engine = {
+  eng_name : string;
+  explore :
+    's 'l.
+    ?prov:Ccr_modelcheck.Vstore.Prov.t ->
+    on_level:(depth:int -> states:int -> unit) ->
+    ('s, 'l) event_case ->
+    ('s, 'l) Ccr_modelcheck.Explore.stats;
+}
+
+let check_same_event eng c =
+  let module E = Ccr_modelcheck.Explore in
+  let name = Fmt.str "%s (%s)" c.ev_name eng.eng_name in
+  let outcome (r : (_, _) E.stats) =
+    match r.E.outcome with
+    | E.Violation { invariant; state } ->
+      Fmt.str "violation of %s at %s" invariant (c.ev_key state)
+    | E.Deadlock st -> "deadlock at " ^ c.ev_key st
+    | E.Complete | E.Limit _ -> "no event"
+  in
+  let path (r : (_, _) E.stats) =
+    Option.map (List.map (fun (l, st) -> (l, c.ev_key st))) r.E.trace
+  in
+  let levels = ref [] in
+  let on_level ~depth ~states = levels := (depth, states) :: !levels in
+  let seq =
+    E.run ~trace:true ~invariants:c.ev_invariants ~check_deadlock:c.ev_deadlock
+      ~on_level c.ev_sys
+  in
+  let seq_levels = !levels in
+  if outcome seq = "no event" then
+    Alcotest.failf "%s: the reference run reports no event" name;
+  List.iter
+    (fun prov ->
+      let name = if prov = None then name else name ^ " ~prov" in
+      levels := [];
+      let r = eng.explore ?prov ~on_level c in
+      checks (name ^ ": outcome") (outcome seq) (outcome r);
+      checki (name ^ ": states") seq.E.states r.E.states;
+      checki (name ^ ": transitions") seq.E.transitions r.E.transitions;
+      checki (name ^ ": max_depth") seq.E.max_depth r.E.max_depth;
+      checkb (name ^ ": trace") true (path seq = path r);
+      checkb (name ^ ": levels") true (seq_levels = !levels);
+      Option.iter
+        (fun p ->
+          checki (name ^ ": provenance entries") seq.E.states
+            (Ccr_modelcheck.Vstore.Prov.count p))
+        prov)
+    [ None; Some (Ccr_modelcheck.Vstore.Prov.create ()) ]
+
+(* With [max_states] around the count at which [Explore.run] meets an
+   event, the engine under test must report what [Explore.run] reports:
+   the event while it fits under the cap, the cap once it does not.
+   [run] explores [counter_system ~limit:100]. *)
+let check_cap_around_event run =
+  let module E = Ccr_modelcheck.Explore in
+  let sys = counter_system ~limit:100 in
+  let tag (r : (_, _) E.stats) =
+    match r.E.outcome with
+    | E.Violation _ -> "violation"
+    | E.Deadlock _ -> "deadlock"
+    | E.Limit E.L_states -> "cap"
+    | E.Complete | E.Limit _ -> "other"
+  in
+  List.iter
+    (fun (check_deadlock, invariants) ->
+      let free = E.run ~check_deadlock ~invariants sys in
+      List.iter
+        (fun cap ->
+          let seq = E.run ~check_deadlock ~invariants ~max_states:cap sys in
+          let r = run ~check_deadlock ~invariants ~max_states:cap in
+          let name = Fmt.str "%s, cap %d" (tag free) cap in
+          checks (name ^ ": outcome") (tag seq) (tag r);
+          if tag seq <> "cap" then checki (name ^ ": states") seq.E.states r.E.states)
+        [ free.E.states - 1; free.E.states; free.E.states + 1 ])
+    [ (false, [ ("below40", fun s -> s < 40) ]); (true, []) ]
+
+(* A system given by its edge lists (missing = no successors). *)
+let table_system edges =
+  Ccr_modelcheck.Explore.
+    {
+      init = 0;
+      succ =
+        (fun s ->
+          List.map
+            (fun t -> (Fmt.str "%d->%d" s t, t))
+            (Option.value ~default:[] (List.assoc_opt s edges)));
+      encode = string_of_int;
+      canon = None;
+    }
+
+(* Synthetic events with known positions.  In the two same-level cases,
+   level 1 is [1; 2; 3; 4]; one of its states deadlocks and another
+   discovers the violating state 99, in either order, and state 6 is
+   discovered twice in level 2. *)
+let synthetic_event_cases =
+  let case ?(deadlock = true) ?(invariants = []) ev_name ev_sys =
+    {
+      ev_name;
+      ev_sys;
+      ev_invariants = invariants;
+      ev_deadlock = deadlock;
+      ev_key = string_of_int;
+    }
+  in
+  let not99 = [ ("not-99", fun s -> s <> 99) ] in
+  let loops = List.map (fun s -> (s, [ s ])) [ 5; 6; 7; 8; 99 ] in
+  [
+    case "violation deep in a DAG"
+      ~invariants:[ ("below7", fun s -> s < 7) ]
+      (counter_system ~limit:100);
+    case "violation in the initial state"
+      ~invariants:[ ("never", fun _ -> false) ]
+      (bits_system 3);
+    case "deadlock at the end of a DAG" (counter_system ~limit:10);
+    case "deadlock before a violation in its level" ~invariants:not99
+      (table_system
+         ([ (0, [ 1; 2; 3; 4 ]); (1, [ 5; 6 ]); (3, [ 6; 99 ]); (4, [ 8 ]) ]
+         @ loops));
+    case "violation before a deadlock in its level" ~invariants:not99
+      (table_system
+         ([ (0, [ 1; 2; 3; 4 ]); (1, [ 5; 6 ]); (2, [ 6; 99 ]); (4, [ 8 ]) ]
+         @ loops));
+    case "deadlock first in its level, nothing discovered before it"
+      (table_system [ (0, [ 1; 2 ]); (2, [ 3 ]); (3, [ 3 ]) ]);
+  ]
+
+(* Protocol-level violations, symmetry reduction off and on: migratory
+   async n=3, where three messages in flight is reachable. *)
+let protocol_event_cases () =
+  let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
+  let sys = async_system prog in
+  let case ev_name ev_sys =
+    {
+      ev_name;
+      ev_sys;
+      ev_invariants =
+        [
+          ( "few in flight",
+            fun st -> Ccr_refine.Async.messages_in_flight st < 3 );
+        ];
+      ev_deadlock = true;
+      ev_key = Ccr_refine.Async.encode;
+    }
+  in
+  [
+    case "migratory n=3 violation, symmetry off" sys;
+    case "migratory n=3 violation, symmetry on"
+      {
+        sys with
+        Ccr_modelcheck.Explore.canon =
+          Some
+            {
+              Ccr_modelcheck.Explore.canon_key =
+                Ccr_refine.Symmetry.canonical_async_fast prog;
+              canon_fresh = None;
+              canon_fallbacks = (fun () -> 0);
+            };
+      };
+  ]
+
 (* ---- processes and scratch space --------------------------------------- *)
 
 (* A fresh scratch directory, removed (recursively) when [f] returns. *)
