@@ -178,11 +178,15 @@ serve-smoke:
 	  --port $$(cat /tmp/ccr-serve-smoke/port) | grep -q '"cached":true'; \
 	status=$$?; kill -TERM $$pid; wait $$pid; exit $$status
 
-# Repo benchmark: a short closed loop of the check-sym workload.  Fails
-# unless the result line says "correct": true — every run's answer and
-# the ccr CLI's stats line match perfbench/expected.ml.
+# Repo benchmark: short closed loops of the check-sym workload and of
+# check-nosym, whose 436,618-state answer is the one that exercises the
+# mem store at scale.  Fails unless each result line says
+# "correct": true — every run's answer and the ccr CLI's stats line
+# match perfbench/expected.ml.
 perfbench-smoke:
 	python3 perfbench/run.py --workload check-sym --seed 1 --seconds 5 \
+	  --trace 0 | grep -q '"correct": true'
+	python3 perfbench/run.py --workload check-nosym --seed 1 --seconds 5 \
 	  --trace 0 | grep -q '"correct": true'
 
 examples:

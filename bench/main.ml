@@ -1237,14 +1237,15 @@ let record_throughput_row ~protocol ~n ~engine ~domains (s : Runtime.stats) =
    messages-per-cycle, then the cycle budget is sized so each engine
    moves ~the same number of wire messages and msgs/sec is wall-clock
    normalized.  The threaded runtime is the baseline the ≥10× claim in
-   DESIGN.md §6g is measured against (on this one-core container the gap
-   is scheduler overhead, not parallelism). *)
+   DESIGN.md §6g is measured against (at one domain the gap is scheduler
+   overhead, not parallelism). *)
 let throughput () =
   section "Engine throughput: loop engine vs threaded runtime (msgs/sec)";
   let n = 4 in
   let cfg = Async.{ k = 2 } in
   let target_msgs = if fast then 40_000 else 400_000 in
-  Fmt.pr "fixed message budget ~%d msgs/run, n=%d, 1 core@.@." target_msgs n;
+  Fmt.pr "fixed message budget ~%d msgs/run, n=%d, %d cores@.@." target_msgs n
+    (Domain.recommended_domain_count ());
   Fmt.pr "  %-12s %-8s %9s %9s %10s %12s %9s@." "protocol" "engine" "msgs"
     "rdv" "time" "msgs/sec" "speedup";
   List.iter

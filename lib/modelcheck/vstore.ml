@@ -23,101 +23,326 @@ let kind_name = function
    store kinds so bench bytes/state comparisons share one baseline. *)
 let per_state_overhead = 64
 
-(* Honest accounting constants for [mem_bytes]: OCaml boxed-string header
-   plus word rounding (~24 bytes on 64-bit), and open-addressing slot
-   costs.  These make [mem_bytes] track actual RAM, so a memory cap set
-   for the machine really is honored — the old figure ignored the tables
-   themselves, undercounting by ~30%. *)
-let string_overhead = 24
-let intern_entry_overhead = 48 (* hashtbl bucket + boxed header *)
+(* Honest accounting constant for [mem_bytes]: a stdlib hashtable
+   bucket plus the boxed string header of an interned component. *)
+let intern_entry_overhead = 48
 
-(* ---- exact in-memory store ---------------------------------------------
+(* ---- off-heap flat key set -----------------------------------------------
 
-   Insert-only open-addressing string set.  [add] is the visited-set hot
-   path: it hashes the key once and walks a single probe sequence to both
-   test membership and insert, where the stdlib [Hashtbl.mem] +
-   [Hashtbl.add] pair traverses its bucket chain twice and allocates a
-   bucket cell per state.  Keys are interned exactly once: the encoded
-   string handed to [add] is the string retained in the table. *)
-module Strset = struct
+   The exact and collapse stores are one set of byte strings kept outside
+   the OCaml heap.  The GC neither scans nor copies the visited set, so
+   the major heap, which the GC sizes at about twice its live data, holds
+   only the exploration's live states.  Keys are appended, length-
+   prefixed, to chunked [Bigarray] arenas; the index is one [Bigarray] of
+   packed ints.  Only a fresh key is copied in, so the caller's string
+   dies young instead of being promoted.  The memory goes back to the C
+   heap when the GC collects the store's bigarrays. *)
+
+module A1 = Bigarray.Array1
+
+type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+
+external big_get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+
+external big_set64u : bigstring -> int -> int64 -> unit
+  = "%caml_bigstring_set64u"
+
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Chunked byte arena.  Chunks double from [chunk_min] up to [chunk_max]
+   bytes, so a store that holds little (one of [par_run]'s 64 shards, a
+   worker's table) costs little; a request larger than the next chunk
+   gets a chunk of exactly its size.  Appends go to the last chunk only,
+   so chunk order, then position within a chunk, is insertion order. *)
+module Arena = struct
   type t = {
-    mutable keys : string array;
-    mutable hashes : int array;
-    mutable count : int;
-    mutable key_bytes : int;
+    mutable chunks : bigstring array;
+    mutable fills : int array; (* bytes used in each chunk *)
+    mutable starts : int array; (* each chunk's offset in the concatenation *)
+    mutable n : int; (* chunks allocated *)
   }
 
-  (* Physically unique empty-slot marker ([String.make] allocates a fresh
-     block, so no real key can be [==] to it). *)
-  let absent = String.make 1 '\000'
+  let chunk_min = 4096
+  let chunk_max = 1 lsl 20
+  let no_chunk : bigstring = A1.create Bigarray.char Bigarray.c_layout 0
+
+  let create () = { chunks = [||]; fills = [||]; starts = [||]; n = 0 }
+
+  (* The chunk to append [need] bytes to, at its fill mark: the last chunk
+     when they fit there, else a new one. *)
+  let reserve t need =
+    let n = t.n in
+    if n > 0 && t.fills.(n - 1) + need <= A1.dim t.chunks.(n - 1) then n - 1
+    else begin
+      let size =
+        if n = 0 then chunk_min
+        else min chunk_max (2 * A1.dim t.chunks.(n - 1))
+      in
+      let size = max size need in
+      if n = Array.length t.chunks then begin
+        let more = max 8 n in
+        t.chunks <- Array.append t.chunks (Array.make more no_chunk);
+        t.fills <- Array.append t.fills (Array.make more 0);
+        t.starts <- Array.append t.starts (Array.make more 0)
+      end;
+      t.chunks.(n) <- A1.create Bigarray.char Bigarray.c_layout size;
+      t.fills.(n) <- 0;
+      t.starts.(n) <-
+        (if n = 0 then 0 else t.starts.(n - 1) + A1.dim t.chunks.(n - 1));
+      t.n <- n + 1;
+      n
+    end
+
+  (* Bytes up to the fill mark of the last chunk: the arena's resident
+     size (a chunk's untouched tail is not), and a figure that grows with
+     every append. *)
+  let used t = if t.n = 0 then 0 else t.starts.(t.n - 1) + t.fills.(t.n - 1)
+
+  (* The chunk holding byte [g] of the concatenation of the chunks' used
+     prefixes; only meaningful when every chunk is filled to its end, as
+     fixed-size records that divide [chunk_min] leave them. *)
+  let locate t g =
+    let lo = ref 0 and hi = ref (t.n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if t.starts.(mid) <= g then lo := mid else hi := mid - 1
+    done;
+    !lo
+end
+
+(* One hash over the key bytes, read 8 at a time (the last word
+   overlapping its predecessor), written once per storage so a key
+   hashes the same in the caller's bytes and in the arena. *)
+let[@inline] mix h w =
+  let h = (h lxor w) * 0x2127599bf4325c37 in
+  h lxor (h lsr 31)
+
+let finish h =
+  let h = (h lxor (h lsr 32)) * 0x165667b19e3779f9 in
+  (h lxor (h lsr 29)) land max_int
+
+let hash_bytes b len =
+  let h = ref len in
+  if len < 8 then
+    for i = 0 to len - 1 do
+      h := mix !h (Char.code (Bytes.unsafe_get b i))
+    done
+  else begin
+    let i = ref 0 in
+    while !i + 8 < len do
+      h := mix !h (Int64.to_int (bytes_get64u b !i));
+      i := !i + 8
+    done;
+    h := mix !h (Int64.to_int (bytes_get64u b (len - 8)))
+  end;
+  finish !h
+
+let hash_big (a : bigstring) d len =
+  let h = ref len in
+  if len < 8 then
+    for i = 0 to len - 1 do
+      h := mix !h (Char.code (A1.unsafe_get a (d + i)))
+    done
+  else begin
+    let i = ref 0 in
+    while !i + 8 < len do
+      h := mix !h (Int64.to_int (big_get64u a (d + !i)));
+      i := !i + 8
+    done;
+    h := mix !h (Int64.to_int (big_get64u a (d + len - 8)))
+  end;
+  finish !h
+
+(* [a.(d..d+len-1)] equals [b.(0..len-1)] *)
+let equal_at (a : bigstring) d b len =
+  if len < 8 then begin
+    let i = ref 0 in
+    while !i < len && A1.unsafe_get a (d + !i) = Bytes.unsafe_get b !i do
+      incr i
+    done;
+    !i = len
+  end
+  else begin
+    let i = ref 0 in
+    while
+      !i + 8 < len && (big_get64u a (d + !i) : int64) = bytes_get64u b !i
+    do
+      i := !i + 8
+    done;
+    !i + 8 >= len
+    && (big_get64u a (d + len - 8) : int64) = bytes_get64u b (len - 8)
+  end
+
+let blit_to_big b (a : bigstring) d len =
+  if len < 8 then
+    for i = 0 to len - 1 do
+      A1.unsafe_set a (d + i) (Bytes.unsafe_get b i)
+    done
+  else begin
+    let i = ref 0 in
+    while !i + 8 < len do
+      big_set64u a (d + !i) (bytes_get64u b !i);
+      i := !i + 8
+    done;
+    big_set64u a (d + len - 8) (bytes_get64u b (len - 8))
+  end
+
+(* LEB128, for the arena's length prefixes and the collapse store's
+   component ids.  The encoding is minimal, so a value's size follows
+   from the value. *)
+let rec varint_size i = if i < 0x80 then 1 else 1 + varint_size (i lsr 7)
+
+let rec put_varint b pos i =
+  if i < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr i);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (i land 0x7f)));
+    put_varint b (pos + 1) (i lsr 7)
+  end
+
+let rec put_varint_big (a : bigstring) pos i =
+  if i < 0x80 then begin
+    A1.unsafe_set a pos (Char.unsafe_chr i);
+    pos + 1
+  end
+  else begin
+    A1.unsafe_set a pos (Char.unsafe_chr (0x80 lor (i land 0x7f)));
+    put_varint_big a (pos + 1) (i lsr 7)
+  end
+
+let rec varint_big (a : bigstring) pos shift acc =
+  let c = Char.code (A1.unsafe_get a pos) in
+  if c < 0x80 then acc lor (c lsl shift)
+  else varint_big a (pos + 1) (shift + 7) (acc lor ((c land 0x7f) lsl shift))
+
+let get_varint_big a pos = varint_big a pos 0 0
+
+module Flatset = struct
+  type t = {
+    mutable index : ints; (* packed slots, 0 = empty *)
+    mutable count : int;
+    arena : Arena.t;
+  }
+
+  (* Slot layout, one int: 1 + (chunk lsl 40 lor pos lsl 20 lor tag).
+     [pos]: the entry's position in its chunk, below 2^20 = [chunk_max]
+     since a larger chunk holds one entry, at 0; [tag]: 20 high bits of
+     the key's hash, which reject almost every false probe without
+     touching the arena.  The index position comes from the low hash
+     bits, so a resize rehashes the keys from the arena instead of
+     keeping a second hash array. *)
+  let tag_bits = 20
+  let tag_mask = (1 lsl tag_bits) - 1
+  let pos_mask = (1 lsl 20) - 1
+  let tag_of h = (h lsr 40) land tag_mask
+  let pack c pos tag = 1 + ((((c lsl 20) lor pos) lsl tag_bits) lor tag)
+
+  let make_index slots : ints =
+    let index = A1.create Bigarray.int Bigarray.c_layout slots in
+    A1.fill index 0;
+    index
 
   let create ~init_slots =
-    {
-      keys = Array.make init_slots absent;
-      hashes = Array.make init_slots 0;
-      count = 0;
-      key_bytes = 0;
-    }
+    { index = make_index init_slots; count = 0; arena = Arena.create () }
+
+  (* [f c a pos d len] for every entry, in insertion order: chunk [c] =
+     [a], entry at [pos], its [len] key bytes at [d]. *)
+  let iter t f =
+    let ar = t.arena in
+    for c = 0 to ar.Arena.n - 1 do
+      let a = ar.Arena.chunks.(c) and fill = ar.Arena.fills.(c) in
+      let pos = ref 0 in
+      while !pos < fill do
+        let len = get_varint_big a !pos in
+        let d = !pos + varint_size len in
+        f c a !pos d len;
+        pos := d + len
+      done
+    done
 
   let resize t =
-    let old_keys = t.keys and old_hashes = t.hashes in
-    let cap = 2 * Array.length old_keys in
-    let mask = cap - 1 in
-    let keys = Array.make cap absent and hashes = Array.make cap 0 in
-    Array.iteri
-      (fun i k ->
-        if k != absent then begin
-          let h = old_hashes.(i) in
-          let j = ref (h land mask) in
-          while keys.(!j) != absent do
-            j := (!j + 1) land mask
-          done;
-          keys.(!j) <- k;
-          hashes.(!j) <- h
-        end)
-      old_keys;
-    t.keys <- keys;
-    t.hashes <- hashes
+    let index = make_index (2 * A1.dim t.index) in
+    let mask = A1.dim index - 1 in
+    iter t (fun c a pos d len ->
+        let h = hash_big a d len in
+        let j = ref (h land mask) in
+        while A1.unsafe_get index !j <> 0 do
+          j := (!j + 1) land mask
+        done;
+        A1.unsafe_set index !j (pack c pos (tag_of h)));
+    t.index <- index
 
-  (* true when [key] was absent (in which case it is inserted) *)
-  let add t key =
-    if 2 * t.count >= Array.length t.keys then resize t;
-    let h = Hashtbl.hash key in
-    let mask = Array.length t.keys - 1 in
+  let matches t s b len =
+    let s = s - 1 in
+    let a = t.arena.Arena.chunks.(s lsr (20 + tag_bits)) in
+    let pos = (s lsr tag_bits) land pos_mask in
+    let c = Char.code (A1.unsafe_get a pos) in
+    let stored = if c < 0x80 then c else get_varint_big a pos in
+    stored = len && equal_at a (pos + varint_size len) b len
+
+  let insert t b len tag =
+    let ar = t.arena in
+    let need = varint_size len + len in
+    let c = Arena.reserve ar need in
+    let a = ar.Arena.chunks.(c) and pos = ar.Arena.fills.(c) in
+    (* the writes below are unchecked *)
+    assert (pos + need <= A1.dim a);
+    let d = put_varint_big a pos len in
+    blit_to_big b a d len;
+    ar.Arena.fills.(c) <- d + len;
+    pack c pos tag
+
+  (* true when the key in [b.(0..len-1)] was absent (then inserted).
+     Load factor 3/4: the tag keeps false probes off the arena. *)
+  let add t b len =
+    if 4 * t.count >= 3 * A1.dim t.index then resize t;
+    let h = hash_bytes b len in
+    let tag = tag_of h in
+    let index = t.index in
+    let mask = A1.dim index - 1 in
     let j = ref (h land mask) in
     let fresh = ref false and scanning = ref true in
     while !scanning do
-      let k = t.keys.(!j) in
-      if k == absent then begin
-        t.keys.(!j) <- key;
-        t.hashes.(!j) <- h;
+      let s = A1.unsafe_get index !j in
+      if s = 0 then begin
+        A1.unsafe_set index !j (insert t b len tag);
         t.count <- t.count + 1;
-        t.key_bytes <- t.key_bytes + String.length key;
         fresh := true;
         scanning := false
       end
-      else if t.hashes.(!j) = h && String.equal k key then scanning := false
+      else if (s - 1) land tag_mask = tag && matches t s b len then
+        scanning := false
       else j := (!j + 1) land mask
     done;
     !fresh
+
+  let mem_bytes t = (8 * A1.dim t.index) + Arena.used t.arena
 end
 
+(* ---- exact in-memory store ---------------------------------------------
+
+   The flat set over the raw key bytes. *)
 let exact ?(init_slots = 4096) () =
-  let t = Strset.create ~init_slots in
+  let t = Flatset.create ~init_slots in
+  let key_bytes = ref 0 in
   {
-    add = (fun key -> Strset.add t key);
-    mem_bytes =
-      (fun () ->
-        (* keys + headers, plus the two slot arrays (pointer + hash word) *)
-        t.Strset.key_bytes
-        + (string_overhead * t.Strset.count)
-        + (16 * Array.length t.Strset.keys));
+    add =
+      (fun key ->
+        let len = String.length key in
+        let fresh = Flatset.add t (Bytes.unsafe_of_string key) len in
+        if fresh then key_bytes := !key_bytes + len;
+        fresh);
+    mem_bytes = (fun () -> Flatset.mem_bytes t);
     raw_bytes =
-      (fun () -> t.Strset.key_bytes + (per_state_overhead * t.Strset.count));
-    count = (fun () -> t.Strset.count);
+      (fun () -> !key_bytes + (per_state_overhead * t.Flatset.count));
+    count = (fun () -> t.Flatset.count);
     iter_keys =
       (fun f ->
-        Array.iter (fun k -> if k != Strset.absent then f k) t.Strset.keys);
+        Flatset.iter t (fun _ a _ d len ->
+            f (String.init len (fun i -> A1.unsafe_get a (d + i)))));
   }
 
 (* ---- component interning (shared with the collapse store) --------------- *)
@@ -169,145 +394,13 @@ end
    states (a remote cache's local view changes in few transitions), so
    tuples of 1-byte ids replace 50-200 byte keys.
 
-   The tuple set itself is flat: a growable byte arena of
-   varint-length-prefixed tuples plus an open-addressing index of arena
-   offsets, so a stored state costs its tuple bytes (+1-2 length bytes)
-   plus ~9 bytes of index slot — no per-state boxed values at all. *)
-
-(* FNV-1a over scratch bytes, folded to a non-negative OCaml int.  The
-   index cannot use [Hashtbl.hash] because tuples live in scratch/arena
-   bytes, never as strings. *)
-let hash_bytes b len =
-  let h = ref 0x5_17_cc_1b_72_72_20_a5 in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
-  done;
-  let h = !h in
-  (h lxor (h lsr 29)) land max_int
-
-(* LEB128 for the non-negative ids packed into tuples (internal to the
-   tuple set — state keys keep the [Value.encode_int] format).  Intern
+   The tuples are LEB128 id strings in the same flat set as the exact
+   store's keys: a stored state costs its tuple bytes (+1 length byte)
+   plus one 8-byte index slot (at a load of 3/8 to 3/4), with no
+   per-state boxed value.  Intern
    tables routinely exceed a few hundred entries per position, so the
-   2-byte middle range matters: it is the difference between ~20-byte and
-   ~40-byte tuples on the larger asynchronous instances. *)
-let rec put_varint b pos i =
-  if i < 0x80 then begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr i);
-    pos + 1
-  end
-  else begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (i land 0x7f)));
-    put_varint b (pos + 1) (i lsr 7)
-  end
-
-let get_varint b pos =
-  let rec go pos shift acc =
-    let c = Char.code (Bytes.unsafe_get b pos) in
-    if c < 0x80 then (acc lor (c lsl shift), pos + 1)
-    else go (pos + 1) (shift + 7) (acc lor ((c land 0x7f) lsl shift))
-  in
-  go pos 0 0
-
-module Tupleset = struct
-  type t = {
-    mutable offs : int array; (* arena offset + 1; 0 = empty slot *)
-    mutable tags : Bytes.t; (* low byte of the tuple hash, cuts probes *)
-    mutable count : int;
-    mutable arena : Bytes.t;
-    mutable arena_len : int;
-  }
-
-  let create ~init_slots =
-    {
-      offs = Array.make init_slots 0;
-      tags = Bytes.make init_slots '\000';
-      count = 0;
-      arena = Bytes.create 4096;
-      arena_len = 0;
-    }
-
-  (* tuple stored at [off]: varint length, then the id bytes *)
-  let tuple_matches t off b len =
-    let stored_len, data = get_varint t.arena off in
-    stored_len = len
-    &&
-    let i = ref 0 in
-    while
-      !i < len && Bytes.unsafe_get t.arena (data + !i) = Bytes.unsafe_get b !i
-    do
-      incr i
-    done;
-    !i = len
-
-  let resize t =
-    let old = t.offs in
-    let cap = 2 * Array.length old in
-    let mask = cap - 1 in
-    let offs = Array.make cap 0 and tags = Bytes.make cap '\000' in
-    Array.iter
-      (fun o ->
-        if o <> 0 then begin
-          let len, data = get_varint t.arena (o - 1) in
-          let h = hash_bytes (Bytes.sub t.arena data len) len in
-          let j = ref (h land mask) in
-          while offs.(!j) <> 0 do
-            j := (!j + 1) land mask
-          done;
-          offs.(!j) <- o;
-          Bytes.set tags !j (Char.chr ((h lsr 24) land 0xff))
-        end)
-      old;
-    t.offs <- offs;
-    t.tags <- tags
-
-  let append t b len =
-    let need = t.arena_len + 10 + len in
-    if need > Bytes.length t.arena then begin
-      (* 3/2 growth: the arena is counted at capacity by the honest
-         memory figure, so doubling would overstate steady-state use *)
-      let cap = ref (Bytes.length t.arena * 3 / 2) in
-      while !cap < need do
-        cap := !cap * 3 / 2
-      done;
-      let arena = Bytes.create !cap in
-      Bytes.blit t.arena 0 arena 0 t.arena_len;
-      t.arena <- arena
-    end;
-    let off = t.arena_len in
-    let pos = put_varint t.arena off len in
-    Bytes.blit b 0 t.arena pos len;
-    t.arena_len <- pos + len;
-    off
-
-  (* true when the tuple in [b.(0..len-1)] was absent (then inserted).
-     Load factor 3/4: higher than the string sets' 1/2 because the tag
-     byte rejects almost all false probes without touching the arena. *)
-  let add t b len =
-    if 4 * t.count >= 3 * Array.length t.offs then resize t;
-    let h = hash_bytes b len in
-    let tag = Char.chr ((h lsr 24) land 0xff) in
-    let mask = Array.length t.offs - 1 in
-    let j = ref (h land mask) in
-    let fresh = ref false and scanning = ref true in
-    while !scanning do
-      let o = t.offs.(!j) in
-      if o = 0 then begin
-        t.offs.(!j) <- append t b len + 1;
-        Bytes.set t.tags !j tag;
-        t.count <- t.count + 1;
-        fresh := true;
-        scanning := false
-      end
-      else if Bytes.get t.tags !j = tag && tuple_matches t (o - 1) b len then
-        scanning := false
-      else j := (!j + 1) land mask
-    done;
-    !fresh
-
-  let mem_bytes t =
-    (* offset array (words) + tag bytes + the arena's full capacity *)
-    (9 * Array.length t.offs) + Bytes.length t.arena
-end
+   2-byte varint range matters: it is the difference between ~20-byte
+   and ~40-byte tuples on the larger asynchronous instances. *)
 
 (* One collapse store over a (possibly shared) intern layer.  [lock]
    guards the intern tables when several stores share them; the tuple set
@@ -315,7 +408,7 @@ end
    the sharded engine's per-shard mutexes do).  [count_interns] lets
    exactly one store of a sharing group account for the intern memory. *)
 let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
-  let tuples = Tupleset.create ~init_slots in
+  let tuples = Flatset.create ~init_slots in
   let scratch = ref (Bytes.create 256) in
   let raw = ref 0 in
   let locked f =
@@ -353,7 +446,7 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
         done;
         if !start <> String.length key then
           invalid_arg "Vstore.collapse: split did not cover the key");
-    let fresh = Tupleset.add tuples b !pos in
+    let fresh = Flatset.add tuples b !pos in
     if fresh then raw := !raw + String.length key + per_state_overhead;
     fresh
   in
@@ -361,7 +454,7 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
     add;
     mem_bytes =
       (fun () ->
-        Tupleset.mem_bytes tuples
+        Flatset.mem_bytes tuples
         + (if count_interns then
              Array.fold_left
                (fun acc it -> acc + Intern.mem_bytes it)
@@ -369,29 +462,23 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
            else 0)
         + Bytes.length !scratch);
     raw_bytes = (fun () -> !raw);
-    count = (fun () -> tuples.Tupleset.count);
+    count = (fun () -> tuples.Flatset.count);
     iter_keys =
       (fun f ->
-        (* The arena is a dense sequence of varint-length-prefixed tuples
-           in insertion order; components concatenate back to the exact
-           key (split covers the key), so this inverts [add]. *)
-        let arena = tuples.Tupleset.arena in
+        (* tuples in insertion order; components concatenate back to the
+           exact key (split covers the key), so this inverts [add] *)
         let buf = Buffer.create 256 in
-        let off = ref 0 in
-        while !off < tuples.Tupleset.arena_len do
-          let len, data = get_varint arena !off in
-          locked (fun () ->
-              Buffer.clear buf;
-              let pos = ref data and c = ref 0 in
-              while !pos < data + len do
-                let id, next = get_varint arena !pos in
-                Buffer.add_string buf (Intern.get !interns.(!c) id);
-                pos := next;
-                incr c
-              done);
-          f (Buffer.contents buf);
-          off := data + len
-        done);
+        Flatset.iter tuples (fun _ a _ d len ->
+            locked (fun () ->
+                Buffer.clear buf;
+                let pos = ref d and c = ref 0 in
+                while !pos < d + len do
+                  let id = get_varint_big a !pos in
+                  Buffer.add_string buf (Intern.get !interns.(!c) id);
+                  pos := !pos + varint_size id;
+                  incr c
+                done);
+            f (Buffer.contents buf)));
   }
 
 let collapse ?(init_slots = 1024) ~split () =
@@ -617,14 +704,15 @@ let make ?init_slots ?tail_cap = function
    discovery order) the parent state's id and the ordinal of the fired
    transition within the parent's successor list.  One packed word per
    state — [parent lsl 16 lor (ord + 1)], the root stored with
-   pseudo-ordinal -1 — either in a growable int array ([P_mem]) or as
-   8-byte little-endian records appended to an unlinked temporary file
-   through a tail buffer ([P_disk], the Diskset discipline), so the
-   table stays out-of-core alongside [--store disk].  No labels are
-   stored: replaying the i-th recorded ordinal against the current
-   state's successor list recovers the label exactly, which turns
-   counterexample reconstruction into an O(depth) chain walk plus one
-   successor expansion per step instead of a sequential re-exploration. *)
+   pseudo-ordinal -1 — either in an off-heap chunked arena like the flat
+   set's ([P_mem]) or as 8-byte little-endian records appended to an
+   unlinked temporary file through a tail buffer ([P_disk], the Diskset
+   discipline), so the table stays out-of-core alongside
+   [--store disk].  No labels are stored: replaying the i-th recorded
+   ordinal against the current state's successor list recovers the label
+   exactly, which turns counterexample reconstruction into an O(depth)
+   chain walk plus one successor expansion per step instead of a
+   sequential re-exploration. *)
 module Prov = struct
   type pkind = P_mem | P_disk
 
@@ -641,14 +729,16 @@ module Prov = struct
     read_buf : Bytes.t; (* one 8-byte record *)
   }
 
-  type backend = Arr of int array ref | File of disk_state
+  (* records are 8 bytes, which divides every chunk size, so chunks fill
+     to their end and [Arena.locate] finds a record's chunk *)
+  type backend = Chunks of Arena.t | File of disk_state
 
   type t = { mutable n : int; backend : backend }
 
   let create ?(kind = P_mem) ?(tail_cap = 1 lsl 16) () =
     let backend =
       match kind with
-      | P_mem -> Arr (ref (Array.make 1024 0))
+      | P_mem -> Chunks (Arena.create ())
       | P_disk ->
         let path = Filename.temp_file "ccr_prov" ".log" in
         let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
@@ -692,13 +782,11 @@ module Prov = struct
       invalid_arg "Vstore.Prov.record: parent must precede the state";
     let w = (parent lsl ord_bits) lor (ord + 1) in
     (match t.backend with
-    | Arr slots ->
-      if t.n >= Array.length !slots then begin
-        let a = Array.make (2 * Array.length !slots) 0 in
-        Array.blit !slots 0 a 0 t.n;
-        slots := a
-      end;
-      !slots.(t.n) <- w
+    | Chunks ar ->
+      let c = Arena.reserve ar 8 in
+      let pos = ar.Arena.fills.(c) in
+      big_set64u ar.Arena.chunks.(c) pos (Int64.of_int w);
+      ar.Arena.fills.(c) <- pos + 8
     | File d ->
       Bytes.set_int64_le d.read_buf 0 (Int64.of_int w);
       Buffer.add_bytes d.tail d.read_buf;
@@ -709,7 +797,10 @@ module Prov = struct
     if id < 0 || id >= t.n then invalid_arg "Vstore.Prov.entry: unknown id";
     let w =
       match t.backend with
-      | Arr slots -> !slots.(id)
+      | Chunks ar ->
+        let c = Arena.locate ar (8 * id) in
+        Int64.to_int
+          (big_get64u ar.Arena.chunks.(c) ((8 * id) - ar.Arena.starts.(c)))
       | File d ->
         let off = 8 * id in
         if off >= d.file_len then
@@ -741,7 +832,7 @@ module Prov = struct
 
   let mem_bytes t =
     match t.backend with
-    | Arr slots -> 8 * Array.length !slots
+    | Chunks ar -> Arena.used ar
     | File d -> Buffer.length d.tail + Bytes.length d.read_buf + 64
 
   let bytes t = 8 * t.n

@@ -4,21 +4,29 @@
     Table 3 "Unfinished" entries are exactly this cliff), so the store is
     pluggable:
 
-    - {!Mem}: the exact interned hash set — fastest, one full key in RAM
-      per state.
+    - {!Mem}: the exact set — fastest, one full key in RAM per state.
     - {!Collapse}: SPIN-style collapse compression (Holzmann).  A key is
       cut into per-component substrings by a [split] function; each
       distinct component value is interned once per position and the set
-      stores only the tuple of small ids, in a flat byte arena.
-      Component values repeat massively across states, so a 50–200 byte
-      key shrinks to a handful of bytes.  Exact: key ↦ tuple is a
-      bijection (components concatenate back to the key), so counts equal
-      {!Mem}'s.
+      stores only the tuple of small ids.  Component values repeat
+      massively across states, so a 50–200 byte key shrinks to a handful
+      of bytes.  Exact: key ↦ tuple is a bijection (components
+      concatenate back to the key), so counts equal {!Mem}'s.
     - {!Disk}: out-of-core.  Key bytes live in an unlinked temporary
       file; RAM holds a one-word-per-slot (offset, hash-tag, length)
       index.  A tag hit is confirmed by reading the stored key back, so
       counts stay exact while resident memory drops to ~8 bytes per
       slot.
+
+    {!Mem} and {!Collapse} are one flat set, {!Mem} over the raw keys and
+    {!Collapse} over the id tuples, kept outside the OCaml heap: the
+    bytes, length-prefixed, in chunked [Bigarray] arenas (chunks grow
+    from 4 KiB to 1 MiB) and one packed [int] per index slot (arena
+    location plus 20 hash-tag bits) in a [Bigarray].  The GC never scans
+    or moves it, so a visited state costs its bytes plus ~8–21 bytes of
+    index and no OCaml heap.  A dropped store's memory is reclaimed when
+    the GC collects it (finalization of its bigarrays), so a long-lived
+    process that runs many checks ([ccr serve]) returns each run's set.
 
     All stores are single-threaded; the parallel engine wraps one store
     per shard behind its own mutex. *)
@@ -36,9 +44,9 @@ type t = {
           for compression-ratio and bytes/state comparisons *)
   count : unit -> int;  (** keys marked *)
   iter_keys : (string -> unit) -> unit;
-      (** visit every stored key — in insertion order for the collapse
-          and disk stores, in (deterministic) table order for the exact
-          store — so serialization of a given run is reproducible. *)
+      (** visit every stored key once, in insertion order (the order of
+          the arena, or of the disk store's file), so serialization of a
+          given run is reproducible. *)
 }
 
 type kind = Mem | Collapse of (string -> int array) | Disk
@@ -101,9 +109,10 @@ end
     Optional per-state provenance for the exploration engines: for each
     visited state id (dense, in discovery order) the parent id and the
     ordinal of the fired transition within the parent's successor list.
-    One packed 8-byte slot per state, resident ([P_mem]) or appended to
-    an unlinked temporary file through a tail buffer ([P_disk]) so the
-    table stays out-of-core alongside [--store disk].  Labels are not
+    One packed 8-byte slot per state, resident off the OCaml heap in the
+    flat set's chunked arena ([P_mem]) or appended to an unlinked
+    temporary file through a tail buffer ([P_disk]) so the table stays
+    out-of-core alongside [--store disk].  Labels are not
     stored — replaying the recorded ordinals from the initial state
     recovers them — so counterexample reconstruction is an O(depth)
     chain walk instead of a sequential re-exploration. *)
@@ -134,7 +143,7 @@ module Prov : sig
   val count : t -> int
 
   val mem_bytes : t -> int
-  (** Resident bytes (the array, or the tail/read buffers). *)
+  (** Resident bytes (the arena's used bytes, or the tail/read buffers). *)
 
   val bytes : t -> int
   (** Total provenance bytes recorded, resident or not: 8 per state. *)

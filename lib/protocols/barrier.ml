@@ -48,33 +48,35 @@ let system = Dsl.system "barrier" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
+  let home_releasing = rv_home_in prog [ "R" ]
+  and arrived = rv_home_var prog "s" in
   [
     (* the release phase starts with everyone arrived and never runs dry *)
     ( "release_not_dry",
       fun st ->
-        (not (rv_home_in prog [ "R" ] st))
-        || not (Value.set_is_empty (rv_home_var prog "s" st)) );
+        (not (home_releasing st)) || not (Value.set_is_empty (arrived st)) );
     (* a remote recorded as arrived is still waiting *)
     ( "recorded_means_waiting",
       fun st ->
-        let s = rv_home_var prog "s" st in
+        let s = arrived st in
         forall_remotes prog.Prog.n (fun i ->
             (not (Value.set_mem i s)) || rv_remote_ctl prog st i = "W") );
   ]
 
 let async_invariants prog =
   let open Props in
+  let home_releasing = as_home_in prog [ "R" ]
+  and arrived = as_home_var prog "s" in
   [
     ( "release_not_dry",
       fun st ->
-        (not (as_home_in prog [ "R" ] st))
-        || not (Value.set_is_empty (as_home_var prog "s" st)) );
+        (not (home_releasing st)) || not (Value.set_is_empty (arrived st)) );
     (* a remote observed waiting is either recorded as arrived or its
        release is already on the wire (the record is cleared only when
        the go's ack comes back) *)
     ( "waiting_means_recorded_or_released",
       fun st ->
-        let s = as_home_var prog "s" st in
+        let s = arrived st in
         let go_in_flight i =
           List.exists
             (function

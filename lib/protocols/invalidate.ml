@@ -137,44 +137,45 @@ let writers = [ "M" ]
 
 let rv_invariants prog =
   let open Props in
+  let n_writers = rv_remotes_in prog writers
+  and n_readers = rv_remotes_in prog readers
+  and n_holders = rv_remotes_in prog (readers @ writers)
+  and home_free = rv_home_in prog [ "F"; "FgS"; "FgM" ]
+  and sharers = rv_home_var prog "sh" in
+  let sharer_recorded st i =
+    rv_remote_ctl prog st i <> "S" || Value.set_mem i (sharers st)
+  in
   [
-    ("single_writer", fun st -> rv_remotes_in prog writers st <= 1);
+    ("single_writer", fun st -> n_writers st <= 1);
     ( "writer_excludes_readers",
-      fun st ->
-        rv_remotes_in prog writers st = 0
-        || rv_remotes_in prog readers st = 0 );
+      fun st -> n_writers st = 0 || n_readers st = 0 );
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "FgS"; "FgM" ] st))
-        || rv_remotes_in prog (readers @ writers) st = 0 );
-    ( "sharers_recorded",
-      fun st ->
-        let sh = rv_home_var prog "sh" st in
-        forall_remotes prog.n (fun i ->
-            rv_remote_ctl prog st i <> "S" || Value.set_mem i sh) );
+      fun st -> (not (home_free st)) || n_holders st = 0 );
+    ("sharers_recorded", all_remotes prog.n sharer_recorded);
   ]
 
 let async_invariants prog =
   let open Props in
+  let n_writers = as_remotes_in prog writers
+  and n_readers = as_remotes_in prog readers
+  and n_holders = as_remotes_in prog (readers @ writers)
+  and home_free = as_home_in prog [ "F"; "FgS"; "FgM" ]
+  and sharers = as_home_var prog "sh" in
+  let sharer_recorded st i =
+    as_remote_ctl prog st i <> "S"
+    || Value.set_mem i (sharers st)
+    || as_home_awaits st i
+  in
   [
-    ("single_writer", fun st -> as_remotes_in prog writers st <= 1);
+    ("single_writer", fun st -> n_writers st <= 1);
     ( "writer_excludes_readers",
-      fun st ->
-        as_remotes_in prog writers st = 0
-        || as_remotes_in prog readers st = 0 );
+      fun st -> n_writers st = 0 || n_readers st = 0 );
     (* both weakened to idle-home situations: under the generic scheme a
        grantee enters its new state while the home still waits for the
        ack of the grant *)
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "FgS"; "FgM" ] st))
-        || (not (as_home_idle st))
-        || as_remotes_in prog (readers @ writers) st = 0 );
-    ( "sharers_recorded",
-      fun st ->
-        let sh = as_home_var prog "sh" st in
-        forall_remotes prog.n (fun i ->
-            as_remote_ctl prog st i <> "S"
-            || Value.set_mem i sh
-            || as_home_transient_peer st = Some i) );
+        (not (home_free st)) || (not (as_home_idle st)) || n_holders st = 0
+    );
+    ("sharers_recorded", all_remotes prog.n sharer_recorded);
   ]

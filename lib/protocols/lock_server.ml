@@ -23,22 +23,23 @@ let system = Dsl.system "lock-server" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
+  let n_critical = rv_remotes_in prog [ "C" ]
+  and n_holding = rv_remotes_in prog [ "C"; "R" ]
+  and home_unlocked = rv_home_in prog [ "U"; "G" ] in
   [
-    ("mutual_exclusion", fun st -> rv_remotes_in prog [ "C" ] st <= 1);
+    ("mutual_exclusion", fun st -> n_critical st <= 1);
     ( "unlocked_means_uncritical",
-      fun st ->
-        (not (rv_home_in prog [ "U"; "G" ] st))
-        || rv_remotes_in prog [ "C"; "R" ] st = 0 );
+      fun st -> (not (home_unlocked st)) || n_holding st = 0 );
   ]
 
 let async_invariants prog =
   let open Props in
+  let n_critical = as_remotes_in prog [ "C" ]
+  and home_unlocked = as_home_in prog [ "U"; "G" ] in
   [
-    ("mutual_exclusion", fun st -> as_remotes_in prog [ "C" ] st <= 1);
+    ("mutual_exclusion", fun st -> n_critical st <= 1);
     (* [R] is excluded here: a remote sits in [R] until the ack of its
        [rel] arrives, by which time the home may already be unlocked *)
     ( "unlocked_means_uncritical",
-      fun st ->
-        (not (as_home_in prog [ "U"; "G" ] st))
-        || as_remotes_in prog [ "C" ] st = 0 );
+      fun st -> (not (home_unlocked st)) || n_critical st = 0 );
   ]

@@ -169,52 +169,52 @@ let readers = [ "S" ]
 
 let rv_invariants prog =
   let open Props in
+  let n_exclusive = rv_remotes_in prog exclusive
+  and n_readers = rv_remotes_in prog readers
+  and n_holders = rv_remotes_in prog (exclusive @ readers)
+  and n_modified = rv_remotes_in prog [ "M" ]
+  and home_free = rv_home_in prog [ "F"; "FgE"; "FgM" ]
+  and home_exclusive = rv_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
+  and sharers = rv_home_var prog "sh" in
+  let sharer_recorded st i =
+    rv_remote_ctl prog st i <> "S" || Value.set_mem i (sharers st)
+  in
   [
-    ( "single_exclusive",
-      fun st -> rv_remotes_in prog exclusive st <= 1 );
+    ("single_exclusive", fun st -> n_exclusive st <= 1);
     ( "exclusive_excludes_readers",
-      fun st ->
-        rv_remotes_in prog exclusive st = 0
-        || rv_remotes_in prog readers st = 0 );
+      fun st -> n_exclusive st = 0 || n_readers st = 0 );
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "FgE"; "FgM" ] st))
-        || rv_remotes_in prog (exclusive @ readers) st = 0 );
+      fun st -> (not (home_free st)) || n_holders st = 0 );
     ( "modified_implies_exclusive_dir",
-      fun st ->
-        rv_remotes_in prog [ "M" ] st = 0
-        || rv_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] st );
-    ( "sharers_recorded",
-      fun st ->
-        let sh = rv_home_var prog "sh" st in
-        forall_remotes prog.Prog.n (fun i ->
-            rv_remote_ctl prog st i <> "S" || Value.set_mem i sh) );
+      fun st -> n_modified st = 0 || home_exclusive st );
+    ("sharers_recorded", all_remotes prog.Prog.n sharer_recorded);
   ]
 
 let async_invariants prog =
   let open Props in
+  let n_exclusive = as_remotes_in prog exclusive
+  and n_readers = as_remotes_in prog readers
+  and n_holders = as_remotes_in prog (exclusive @ readers)
+  and n_modified = as_remotes_in prog [ "M" ]
+  and home_free = as_home_in prog [ "F"; "FgE"; "FgM" ]
+  and home_exclusive = as_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
+  and home_regranting = as_home_in prog [ "XDW"; "GrS2" ]
+  and sharers = as_home_var prog "sh" in
+  let sharer_recorded st i =
+    as_remote_ctl prog st i <> "S"
+    || Value.set_mem i (sharers st)
+    || as_home_awaits st i
+    || home_regranting st
+  in
   [
-    ( "single_exclusive",
-      fun st -> as_remotes_in prog exclusive st <= 1 );
+    ("single_exclusive", fun st -> n_exclusive st <= 1);
     ( "exclusive_excludes_readers",
-      fun st ->
-        as_remotes_in prog exclusive st = 0
-        || as_remotes_in prog readers st = 0 );
+      fun st -> n_exclusive st = 0 || n_readers st = 0 );
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "FgE"; "FgM" ] st))
-        || (not (as_home_idle st))
-        || as_remotes_in prog (exclusive @ readers) st = 0 );
+        (not (home_free st)) || (not (as_home_idle st)) || n_holders st = 0
+    );
     ( "modified_implies_exclusive_dir",
-      fun st ->
-        as_remotes_in prog [ "M" ] st = 0
-        || as_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] st );
-    ( "sharers_recorded",
-      fun st ->
-        let sh = as_home_var prog "sh" st in
-        forall_remotes prog.Prog.n (fun i ->
-            as_remote_ctl prog st i <> "S"
-            || Value.set_mem i sh
-            || as_home_transient_peer st = Some i
-            || as_home_in prog [ "XDW"; "GrS2" ] st ) );
+      fun st -> n_modified st = 0 || home_exclusive st );
+    ("sharers_recorded", all_remotes prog.Prog.n sharer_recorded);
   ]

@@ -71,38 +71,41 @@ let holding = [ "V" ]
 
 let rv_invariants prog =
   let open Props in
+  let n_holding = rv_remotes_in prog holding
+  and home_free = rv_home_in prog [ "F"; "Fg" ]
+  and home_owned = rv_home_in prog [ "E"; "I1"; "I2" ]
+  and owner = rv_home_var prog "o" in
+  let owns st i =
+    rv_remote_ctl prog st i <> "V"
+    || (home_owned st && owner st = Value.Vrid i)
+  in
   [
-    ("single_holder", fun st -> rv_remotes_in prog holding st <= 1);
+    ("single_holder", fun st -> n_holding st <= 1);
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "Fg" ] st))
-        || rv_remotes_in prog holding st = 0 );
-    ( "holder_is_owner",
-      fun st ->
-        forall_remotes prog.n (fun i ->
-            rv_remote_ctl prog st i <> "V"
-            || rv_home_in prog [ "E"; "I1"; "I2" ] st
-               && rv_home_var prog "o" st = Value.Vrid i) );
+      fun st -> (not (home_free st)) || n_holding st = 0 );
+    ("holder_is_owner", all_remotes prog.n owns);
   ]
 
 let async_invariants prog =
   let open Props in
+  let n_holding = as_remotes_in prog holding
+  and home_free = as_home_in prog [ "F"; "Fg" ]
+  and home_owned = as_home_in prog [ "E"; "I1"; "I2" ]
+  and home_granting = as_home_in prog [ "Fg"; "I3" ]
+  and owner = as_home_var prog "o" in
+  let owns st i =
+    as_remote_ctl prog st i <> "V"
+    || (home_owned st && owner st = Value.Vrid i)
+    || (home_granting st && as_home_awaits st i)
+  in
   [
-    ("single_holder", fun st -> as_remotes_in prog holding st <= 1);
+    ("single_holder", fun st -> n_holding st <= 1);
     (* under the generic (ack-based) scheme the grantee enters [V] while
        the home still waits in [Fg]/[I3] for the ack of [gr], so "free"
        only makes sense when the home is idle *)
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "Fg" ] st))
-        || (not (as_home_idle st))
-        || as_remotes_in prog holding st = 0 );
-    ( "holder_is_owner",
-      fun st ->
-        forall_remotes prog.n (fun i ->
-            as_remote_ctl prog st i <> "V"
-            || as_home_in prog [ "E"; "I1"; "I2" ] st
-               && as_home_var prog "o" st = Value.Vrid i
-            || as_home_in prog [ "Fg"; "I3" ] st
-               && as_home_transient_peer st = Some i) );
+        (not (home_free st)) || (not (as_home_idle st)) || n_holding st = 0
+    );
+    ("holder_is_owner", all_remotes prog.n owns);
   ]

@@ -3,7 +3,13 @@
     Invariants are plain predicates over global states.  The same logical
     property is usually checked on the rendezvous system and on the
     refined asynchronous system; these helpers give both phrasings access
-    to control states (by name) and variables. *)
+    to control states (by name) and variables.
+
+    The [*_in] and [*_var] accessors are staged: applied to a program and
+    names they resolve the names once (a flag per control state, a
+    variable index), and the resulting predicate only indexes arrays.
+    Apply them once per protocol instance, outside the per-state
+    closure. *)
 
 open Ccr_core
 open Ccr_semantics
@@ -33,9 +39,14 @@ val as_home_idle : Async.state -> bool
 (** True when the home is not mid-rendezvous (mode [Hcomm]).  Useful for
     invariants that only make sense between transactions. *)
 
-val as_home_transient_peer : Async.state -> int option
-(** The remote the home is awaiting, when transient. *)
+val as_home_awaits : Async.state -> int -> bool
+(** [as_home_awaits st i]: the home is transient, awaiting remote [i]. *)
 
 (** {2 Combinators} *)
 
 val forall_remotes : int -> (int -> bool) -> bool
+
+val all_remotes : int -> ('s -> int -> bool) -> 's -> bool
+(** [all_remotes n p st] = [forall_remotes n (p st)].  With [p] built
+    once per protocol instance, a per-state invariant allocates no
+    closure. *)

@@ -163,10 +163,15 @@ let quiescent (st : Async.state) =
 
 let rv_invariants prog =
   let open Props in
+  let sharers = rv_home_var prog "sh"
+  and pending = rv_home_var prog "pend"
+  and home_vl = rv_home_var prog "vl"
+  and remote_vl = Prog.var_index prog.remote "vl"
+  and home_settled = rv_home_in prog [ "Sh"; "ShG"; "F"; "FgS" ] in
   [
     ( "sharers_recorded",
       fun st ->
-        let sh = rv_home_var prog "sh" st in
+        let sh = sharers st in
         forall_remotes prog.Prog.n (fun i ->
             (not (Value.set_mem i sh))
             || List.mem (rv_remote_ctl prog st i)
@@ -175,22 +180,26 @@ let rv_invariants prog =
        agree with the home *)
     ( "settled_sharers_agree",
       fun st ->
-        (not (rv_home_in prog [ "Sh"; "ShG"; "F"; "FgS" ] st))
-        || (not (Value.set_is_empty (rv_home_var prog "pend" st)))
+        (not (home_settled st))
+        || (not (Value.set_is_empty (pending st)))
         || forall_remotes prog.Prog.n (fun i ->
                rv_remote_ctl prog st i <> "S"
                || Value.equal
-                    st.Ccr_semantics.Rendezvous.r.(i).env.(
-                      Prog.var_index prog.remote "vl")
-                    (rv_home_var prog "vl" st)) );
+                    st.Ccr_semantics.Rendezvous.r.(i).env.(remote_vl)
+                    (home_vl st)) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let sharers = as_home_var prog "sh"
+  and pending = as_home_var prog "pend"
+  and home_vl = as_home_var prog "vl"
+  and remote_vl = Prog.var_index prog.remote "vl"
+  and home_settled = as_home_in prog [ "Sh"; "F" ] in
   [
     ( "sharers_recorded",
       fun st ->
-        let sh = as_home_var prog "sh" st in
+        let sh = sharers st in
         forall_remotes prog.Prog.n (fun i ->
             (not (Value.set_mem i sh))
             || List.mem (as_remote_ctl prog st i)
@@ -204,11 +213,10 @@ let async_invariants prog =
     ( "quiescent_copies_agree",
       fun st ->
         (not (quiescent st))
-        || (not (as_home_in prog [ "Sh"; "F" ] st))
-        || (not (Value.set_is_empty (as_home_var prog "pend" st)))
+        || (not (home_settled st))
+        || (not (Value.set_is_empty (pending st)))
         || forall_remotes prog.Prog.n (fun i ->
                as_remote_ctl prog st i <> "S"
-               || Value.equal
-                    st.Async.r.(i).r_env.(Prog.var_index prog.remote "vl")
-                    (as_home_var prog "vl" st)) );
+               || Value.equal st.Async.r.(i).r_env.(remote_vl) (home_vl st))
+    );
   ]

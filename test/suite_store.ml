@@ -34,6 +34,50 @@ let split3 key =
   let len = String.length key in
   Array.init 4 (fun i -> (i + 1) * len / 4)
 
+(* Key streams for the store conformance property: the empty key, short
+   keys, keys behind one long shared prefix, keys longer than the first
+   arena chunk (4 KiB) and, now and then, one longer than the largest
+   (1 MiB).  Every non-empty pool key carries its pool index, so a
+   stream holds at least 33 distinct keys — past three index resizes
+   from 8 slots — and draws up to three times as many duplicates. *)
+let stream_gen =
+  let open QCheck2.Gen in
+  let abcd n = string_size ~gen:(char_range 'a' 'd') n in
+  let* prefix = abcd (int_range 0 600) in
+  let* n = int_range 32 96 in
+  let key i =
+    let tag = "." ^ string_of_int i in
+    frequency
+      [
+        (4, map (fun s -> s ^ tag) (abcd (int_range 0 12)));
+        (4, map (fun s -> prefix ^ s ^ tag) (abcd (int_range 0 8)));
+        ( 1,
+          map2
+            (fun len c -> String.make len c ^ tag)
+            (int_range 4097 9000) (char_range 'a' 'd') );
+      ]
+  in
+  let* pool = flatten_l (List.init n key) in
+  let* huge = frequency [ (9, pure []); (1, pure [ String.make ((1 lsl 20) + 3) 'h' ]) ] in
+  let pool = Array.of_list (("" :: pool) @ huge) in
+  let* picks =
+    list_size (int_range 0 (3 * n)) (int_range 0 (Array.length pool - 1))
+  in
+  shuffle_l (Array.to_list pool @ List.map (Array.get pool) picks)
+
+let print_stream keys =
+  String.concat "; "
+    (List.map
+       (fun k ->
+         if String.length k <= 24 then Printf.sprintf "%S" k
+         else Printf.sprintf "%S..(%d bytes)" (String.sub k 0 24) (String.length k))
+       keys)
+
+let stored_keys store =
+  let acc = ref [] in
+  store.Vstore.iter_keys (fun k -> acc := k :: !acc);
+  List.rev !acc
+
 (* Feed the same key sequence to [store] and to an exact reference;
    every [add] verdict and the final counts must agree. *)
 let agrees_with_exact store keys =
@@ -137,6 +181,38 @@ let tests =
         (* tail_cap=16 forces nearly every key through the file and the
            read-back comparison path *)
         agrees_with_exact (Vstore.disk ~tail_cap:16 ()) keys);
+    qcase ~count:100 ~print:print_stream
+      "stores conform: mem, collapse and disk agree on every add, count and \
+       iter_keys"
+      stream_gen
+      (fun keys ->
+        let mem = Vstore.exact ~init_slots:8 ()
+        and col = Vstore.collapse ~init_slots:8 ~split:split3 ()
+        and disk = Vstore.disk ~init_slots:8 ~tail_cap:4096 () in
+        let seen = Hashtbl.create 64 and first_seen = ref [] in
+        let adds_agree =
+          List.for_all
+            (fun k ->
+              let fresh = not (Hashtbl.mem seen k) in
+              if fresh then begin
+                Hashtbl.add seen k ();
+                first_seen := k :: !first_seen
+              end;
+              let m = mem.Vstore.add k in
+              let c = col.Vstore.add k in
+              let d = disk.Vstore.add k in
+              m = fresh && c = fresh && d = fresh)
+            keys
+        in
+        let order = List.rev !first_seen in
+        let n = List.length order in
+        adds_agree
+        && mem.Vstore.count () = n
+        && col.Vstore.count () = n
+        && disk.Vstore.count () = n
+        && stored_keys mem = order
+        && stored_keys col = order
+        && List.sort compare (stored_keys disk) = List.sort compare order);
     qcase ~count:200 ~print:print_keys
       "shared-intern collapse shards partition like one exact store"
       keys_gen
